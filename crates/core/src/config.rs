@@ -9,8 +9,11 @@ use serde::{Deserialize, Serialize};
 pub struct DabsConfig {
     /// Number of virtual devices = number of solution pools (paper: 8).
     pub devices: usize,
-    /// Block workers per device (paper: 216 CUDA blocks per A100; a small
-    /// number of CPU threads is the simulator equivalent).
+    /// Parallel width of [`DabsSolver::run`](crate::DabsSolver::run): how
+    /// many sequential units (each with all `devices` pools) it steps side
+    /// by side, one thread each. The paper's counterpart is the 216 CUDA
+    /// blocks per A100. `1` runs inline on the caller's thread;
+    /// `run_sequential` ignores it.
     pub blocks_per_device: usize,
     /// Batch-search flip budgets and tabu tenure.
     pub params: SearchParams,

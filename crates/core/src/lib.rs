@@ -17,10 +17,11 @@
 //! time it explores uniformly). Pairs that produce good solutions therefore
 //! occupy more rows and get selected more often — no explicit scoring model.
 //!
-//! [`DabsSolver`] is the multi-threaded solver (one host thread + one
-//! virtual device per pool); [`DabsSolver::run_sequential`] is a
-//! deterministic single-threaded mode used by tests and small studies. The
-//! authors' earlier fixed-strategy ABS solver is available as the
+//! [`DabsSolver`] has one engine: a sequential unit that round-robins over
+//! every pool and its inline device. [`DabsSolver::run_sequential`] steps
+//! one unit and is bit-for-bit deterministic; [`DabsSolver::run`] steps
+//! `blocks_per_device` units on scoped threads and folds their outcomes.
+//! The authors' earlier fixed-strategy ABS solver is available as the
 //! [`DabsConfig::abs_baseline`] preset.
 //!
 //! ```
@@ -46,7 +47,6 @@
 mod adaptive;
 mod config;
 mod genetic;
-mod island;
 pub mod obs;
 mod pool;
 mod solver;
@@ -59,7 +59,6 @@ pub use config::DabsConfig;
 // CLI) need only `dabs-core`.
 pub use dabs_gpu_sim::StopFlag;
 pub use genetic::GeneticOp;
-pub use island::IslandRing;
 pub use obs::{push_hist, solver_obs, ObsAccumulator, SolverObs};
 pub use pool::{PoolEntry, SolutionPool};
 pub use solver::{

@@ -1,35 +1,34 @@
-//! The DABS solver (paper §V): host threads + virtual devices.
+//! The DABS solver (paper §V): solution pools feeding inline devices.
 //!
-//! Architecture per Fig. 2: each device is paired with one solution pool and
-//! one host thread. The host thread generates target packets by adaptive
-//! genetic operations on its pool (occasionally crossing into the ring
-//! neighbour's pool), keeps the device's request queue full, and folds
-//! returned results back into the pool and the global best.
+//! Architecture per Fig. 2: each device is paired with one solution pool.
+//! The host side generates target packets by adaptive genetic operations on
+//! a pool (occasionally crossing into the ring neighbour's pool), the device
+//! runs a batch search on it, and the result folds back into the pool and
+//! the run's best.
 //!
-//! Two execution modes:
+//! One engine, `SeqEngine`, runs that loop: a deterministic round-robin
+//! over all `devices` pools on one thread, resumable in batch quanta
+//! ([`DabsSolver::start_unit`]). Everything parallel is built from its units:
 //!
-//! * [`DabsSolver::run`] — threaded, one virtual device (with
-//!   `blocks_per_device` block workers) + one host thread per pool.
-//! * [`DabsSolver::run_sequential`] — single-threaded round-robin over
-//!   inline devices; bit-for-bit deterministic for a given seed, used by
-//!   tests and ablation studies.
+//! * [`DabsSolver::run_sequential`] — one unit, stepped to termination;
+//!   bit-for-bit deterministic for a given seed.
+//! * [`DabsSolver::run`] — `blocks_per_device` units on scoped threads,
+//!   folded with [`UnitOutcome::merge`].
+//! * the server's elastic pool — a job's units scheduled on shared workers.
 
 use crate::adaptive::{generate_target, select_algorithm, select_operation};
-use crate::{
-    DabsConfig, FrequencyReport, FrequencyTracker, GeneticOp, IslandRing, PoolEntry, SolutionPool,
-};
-use crossbeam::channel;
-use dabs_gpu_sim::{
-    DeviceConfig, DeviceStats, InlineDevice, Packet, SharedBest, StopFlag, VirtualDevice,
-};
+use crate::{DabsConfig, FrequencyReport, FrequencyTracker, GeneticOp, PoolEntry, SolutionPool};
+use dabs_gpu_sim::{InlineDevice, Packet, StopFlag};
 use dabs_model::{BatchKernel, CsrKernel, DenseKernel, KernelKind, QuboModel, Solution};
 use dabs_rng::{Rng64, SplitMix64, Xorshift64Star};
 use dabs_search::MainAlgorithm;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Salt of the per-unit seed stream (see [`DabsSolver::for_unit`]).
+const UNIT_SEED_SALT: u64 = 0x756e_6974_5f73_6565;
 
 /// When to stop a run. Conditions combine with OR; at least one must be set.
 #[derive(Debug, Clone, Default)]
@@ -140,10 +139,10 @@ pub struct Incumbent {
 /// Callback invoked on every new best-energy incumbent of a run.
 ///
 /// Invocations are serialized and strictly improving (each call carries a
-/// lower energy than the previous one), in both execution modes. The
-/// callback runs on a solver thread while an internal lock is held: keep it
-/// fast (push to a channel, update an atomic) and never call back into the
-/// solver from inside it.
+/// lower energy than the previous one) for every run entry point. In a
+/// parallel [`DabsSolver::run`] the callback runs on a unit thread while the
+/// run's filter lock is held: keep it fast (push to a channel, update an
+/// atomic) and never call back into the solver from inside it.
 pub type IncumbentObserver = Arc<dyn Fn(&Incumbent) + Send + Sync>;
 
 /// Outcome of a run.
@@ -224,71 +223,6 @@ impl UnitOutcome {
     }
 }
 
-/// Shared record of the best solution across all pools/devices.
-struct GlobalBest {
-    /// Fast-path energy for lock-free checks.
-    energy: AtomicI64,
-    detail: Mutex<BestDetail>,
-    /// Incumbent callback; invoked under the `detail` lock so deliveries are
-    /// serialized and strictly improving even with many host threads racing.
-    observer: Option<IncumbentObserver>,
-}
-
-#[derive(Debug)]
-struct BestDetail {
-    solution: Option<Solution>,
-    energy: i64,
-    found_at: Duration,
-    finder: Option<(MainAlgorithm, GeneticOp)>,
-}
-
-impl GlobalBest {
-    fn new(observer: Option<IncumbentObserver>) -> Self {
-        Self {
-            energy: AtomicI64::new(i64::MAX),
-            detail: Mutex::new(BestDetail {
-                solution: None,
-                energy: i64::MAX,
-                found_at: Duration::ZERO,
-                finder: None,
-            }),
-            observer,
-        }
-    }
-
-    /// Record a candidate; cheap when not an improvement.
-    fn offer(
-        &self,
-        solution: &Solution,
-        energy: i64,
-        found_at: Duration,
-        finder: (MainAlgorithm, GeneticOp),
-    ) {
-        if energy >= self.energy.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut d = self.detail.lock();
-        if energy < d.energy {
-            d.energy = energy;
-            d.solution = Some(solution.clone());
-            d.found_at = found_at;
-            d.finder = Some(finder);
-            self.energy.store(energy, Ordering::Relaxed);
-            if let Some(obs) = &self.observer {
-                obs(&Incumbent {
-                    solution: solution.clone(),
-                    energy,
-                    found_at,
-                });
-            }
-        }
-    }
-
-    fn current(&self) -> i64 {
-        self.energy.load(Ordering::Relaxed)
-    }
-}
-
 /// The multi-pool adaptive solver.
 #[derive(Debug, Clone)]
 pub struct DabsSolver {
@@ -307,19 +241,38 @@ impl DabsSolver {
         &self.config
     }
 
-    /// Threaded run: `devices` virtual devices with `blocks_per_device`
-    /// workers each, plus one host thread per device.
-    pub fn run(&self, model: &Arc<QuboModel>, termination: Termination) -> SolveResult {
+    /// The solver of parallel unit `index`: the same configuration with
+    /// the unit's own seed. Unit 0 keeps the configured seed, so a one-unit
+    /// run is [`DabsSolver::run_sequential`]; later units draw theirs from a
+    /// salted SplitMix64 stream, so sibling units never repeat each other.
+    /// [`DabsSolver::run`] and the server's job units both seed through
+    /// here.
+    pub fn for_unit(&self, index: u64) -> DabsSolver {
+        let mut config = self.config.clone();
+        if index > 0 {
+            config.seed =
+                SplitMix64::new((config.seed ^ UNIT_SEED_SALT).wrapping_add(index)).next_u64();
+        }
+        DabsSolver { config }
+    }
+
+    /// Parallel run: `blocks_per_device` sequential units, each a
+    /// [`DabsSolver::for_unit`] clone with all `devices` pools, stepped on
+    /// scoped threads and folded with [`UnitOutcome::merge`] in unit order.
+    /// A batch budget is split exactly across the units; a time limit is
+    /// shared; the first unit to reach the target stops its siblings at
+    /// their next batch. A one-unit run stays on the caller's thread and is
+    /// bit-identical to [`DabsSolver::run_sequential`].
+    pub fn run(&self, model: &QuboModel, termination: Termination) -> SolveResult {
         self.run_observed(model, termination, None)
     }
 
-    /// Threaded run that additionally invokes `observer` on every new
-    /// global-best incumbent (see [`IncumbentObserver`] for the delivery
-    /// contract). Used by the server runtime to stream incumbents to
-    /// subscribed clients and by the CLI for live progress.
+    /// [`DabsSolver::run`] that additionally invokes `observer` on every
+    /// new best incumbent across all units (see [`IncumbentObserver`] for
+    /// the delivery contract). Used by the CLI for live progress.
     pub fn run_with_observer(
         &self,
-        model: &Arc<QuboModel>,
+        model: &QuboModel,
         termination: Termination,
         observer: IncumbentObserver,
     ) -> SolveResult {
@@ -328,136 +281,62 @@ impl DabsSolver {
 
     fn run_observed(
         &self,
-        model: &Arc<QuboModel>,
+        model: &QuboModel,
         termination: Termination,
         observer: Option<IncumbentObserver>,
     ) -> SolveResult {
+        let mut width = self.config.blocks_per_device as u64;
+        if let Some(b) = termination.max_batches {
+            width = width.min(b.max(1));
+        }
+        if width <= 1 {
+            return self.run_sequential_observed(model, termination, observer);
+        }
         termination.validate().expect("invalid termination");
-        let n = model.n();
-        let cfg = &self.config;
-        let start = Instant::now();
-
-        let ring = IslandRing::new(cfg.devices, cfg.pool_capacity, cfg.dedup);
-        let mut seeder = SplitMix64::new(cfg.seed);
-        for d in 0..cfg.devices {
-            let mut rng = Xorshift64Star::new(seeder.next_u64());
-            ring.pool(d)
-                .lock()
-                .fill_random(n, &cfg.algorithms, &cfg.operations, &mut rng);
-        }
-
-        let tracker = Arc::new(FrequencyTracker::new());
-        let global = Arc::new(GlobalBest::new(observer));
-        let stop = Arc::new(StopFlag::new());
-        let restarts = Arc::new(AtomicI64::new(0));
-        let mut device_stats = Vec::new();
-        let mut device_handles = Vec::new();
-        let mut host_handles = Vec::new();
-
-        for d in 0..cfg.devices {
-            let (req_tx, req_rx) = channel::bounded::<Packet>(cfg.blocks_per_device * 2);
-            let (res_tx, res_rx) = channel::unbounded::<Packet>();
-            let stats = Arc::new(DeviceStats::new());
-            device_stats.push(Arc::clone(&stats));
-            let dev_seed = seeder.next_u64();
-            device_handles.push(VirtualDevice::spawn(
-                Arc::clone(model),
-                DeviceConfig {
-                    blocks: cfg.blocks_per_device,
-                    params: cfg.params,
-                    seed: dev_seed,
-                },
-                req_rx,
-                res_tx,
-                Arc::new(SharedBest::new()),
-                Arc::clone(&stop),
-                stats,
-            ));
-
-            let host_seed = seeder.next_u64();
-            let pool = Arc::clone(ring.pool(d));
-            let neighbor = ring.neighbor(d).cloned();
-            let tracker = Arc::clone(&tracker);
-            let global = Arc::clone(&global);
-            let stop = Arc::clone(&stop);
-            let restarts = Arc::clone(&restarts);
-            let config = cfg.clone();
-            host_handles.push(std::thread::spawn(move || {
-                host_loop(
-                    n,
-                    &config,
-                    host_seed,
-                    &pool,
-                    neighbor.as_ref(),
-                    req_tx,
-                    res_rx,
-                    &tracker,
-                    &global,
-                    &stop,
-                    &restarts,
-                    start,
-                );
-            }));
-        }
-
-        // Supervisor: enforce the termination conditions.
-        loop {
-            if termination.stop_requested() {
-                break;
-            }
-            if let Some(t) = termination.target_energy {
-                if global.current() <= t {
-                    break;
+        // One filter in front of the caller's observer keeps deliveries
+        // serialized and strictly improving across units.
+        let observer = observer.map(|inner| -> IncumbentObserver {
+            let best = Mutex::new(i64::MAX);
+            Arc::new(move |inc: &Incumbent| {
+                let mut best = best.lock().unwrap_or_else(PoisonError::into_inner);
+                if inc.energy < *best {
+                    *best = inc.energy;
+                    inner(inc);
                 }
-            }
-            if let Some(limit) = termination.time_limit {
-                if start.elapsed() >= limit {
-                    break;
-                }
-            }
-            if let Some(maxb) = termination.max_batches {
-                let total: u64 = device_stats.iter().map(|s| s.batches()).sum();
-                if total >= maxb {
-                    break;
-                }
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        stop.stop();
-        for h in host_handles {
-            let _ = h.join();
-        }
-        for h in device_handles {
-            h.join();
-        }
-
-        let elapsed = start.elapsed();
-        let batches: u64 = device_stats.iter().map(|s| s.batches()).sum();
-        let flips: u64 = device_stats.iter().map(|s| s.flips()).sum();
-        let detail = global.detail.lock();
-        let reached = termination
-            .target_energy
-            .map(|t| detail.energy <= t)
-            .unwrap_or(false);
-        SolveResult {
-            best: detail
-                .solution
-                .clone()
-                .unwrap_or_else(|| Solution::zeros(n)),
-            energy: if detail.solution.is_some() {
-                detail.energy
-            } else {
-                0
-            },
-            time_to_best: detail.found_at,
-            elapsed,
-            batches,
-            flips,
-            reached_target: reached,
-            frequencies: tracker.report(),
-            first_finder: detail.finder,
-            restarts: restarts.load(Ordering::Relaxed) as u32,
-        }
+            })
+        });
+        let target_hit = AtomicBool::new(false);
+        let outcomes: Vec<UnitOutcome> = std::thread::scope(|s| {
+            let units: Vec<_> = (0..width)
+                .map(|i| {
+                    let mut term = termination.clone();
+                    term.max_batches = termination
+                        .max_batches
+                        .map(|b| b / width + u64::from(i < b % width));
+                    let solver = self.for_unit(i);
+                    let observer = observer.clone();
+                    let target_hit = &target_hit;
+                    s.spawn(move || {
+                        let target = term.target_energy;
+                        let mut unit = solver.start_unit(model, term, observer, None);
+                        while !unit.step(1) && !target_hit.load(Ordering::Relaxed) {}
+                        if target.is_some_and(|t| unit.best_energy().is_some_and(|e| e <= t)) {
+                            target_hit.store(true, Ordering::Relaxed);
+                        }
+                        unit.finish()
+                    })
+                })
+                .collect();
+            units
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        outcomes
+            .into_iter()
+            .reduce(UnitOutcome::merge)
+            .expect("a parallel run has at least two units")
+            .result
     }
 
     /// Deterministic single-threaded run: round-robin over inline devices.
@@ -512,8 +391,7 @@ impl DabsSolver {
         warm: Option<WarmStart>,
     ) -> UnitRun<'m> {
         // Monomorphize the whole sequential loop on the model's selected
-        // energy-kernel backend (the threaded path dispatches inside each
-        // block worker instead — see `dabs_gpu_sim::VirtualDevice::spawn`).
+        // energy-kernel backend: one dispatch per unit, never per batch.
         let inner = match model.kernel_kind() {
             KernelKind::Dense => UnitInner::Dense(SeqEngine::new(
                 self.config.clone(),
@@ -826,99 +704,6 @@ impl<'m, K: BatchKernel> SeqEngine<'m, K> {
     }
 }
 
-/// Host thread body: feed one device from one pool.
-#[allow(clippy::too_many_arguments)]
-fn host_loop(
-    n: usize,
-    config: &DabsConfig,
-    seed: u64,
-    pool: &Arc<Mutex<SolutionPool>>,
-    neighbor: Option<&Arc<Mutex<SolutionPool>>>,
-    req_tx: channel::Sender<Packet>,
-    res_rx: channel::Receiver<Packet>,
-    tracker: &FrequencyTracker,
-    global: &GlobalBest,
-    stop: &StopFlag,
-    restarts: &AtomicI64,
-    start: Instant,
-) {
-    let mut rng = Xorshift64Star::new(seed);
-    loop {
-        if stop.is_stopped() {
-            return;
-        }
-        // Fold back any finished batches.
-        let mut handled = 0;
-        while let Ok(result) = res_rx.try_recv() {
-            handled += 1;
-            let energy = result.energy.expect("device results carry energy");
-            let algo = result.algorithm;
-            let op = GeneticOp::from_index(result.genetic_op).unwrap_or(GeneticOp::Random);
-            global.offer(&result.solution, energy, start.elapsed(), (algo, op));
-            let mut p = pool.lock();
-            p.insert(PoolEntry {
-                solution: result.solution,
-                energy,
-                algorithm: algo,
-                operation: op,
-            });
-            if let Some(threshold) = config.restart_diversity {
-                if p.len() == p.capacity()
-                    && p.iter().all(|e| e.energy < i64::MAX)
-                    && p.diversity() < threshold
-                {
-                    p.fill_random(n, &config.algorithms, &config.operations, &mut rng);
-                    restarts.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-
-        // Keep the device's queue topped up.
-        if !req_tx.is_full() {
-            let (packet, algo, op) = {
-                let p = pool.lock();
-                let algo = select_algorithm(&p, config, &mut rng);
-                let op = select_operation(&p, config, &mut rng);
-                let target = match (op, neighbor) {
-                    // try_lock, not lock: each host already holds its own
-                    // pool here, so two ring neighbours that pick Xrossover
-                    // at the same time would block on each other's pool —
-                    // an AB-BA deadlock. On contention degrade to the
-                    // intra-pool form, same as the single-island case.
-                    (GeneticOp::Xrossover, Some(nb)) => match nb.try_lock() {
-                        Some(nbp) => generate_target(op, &p, Some(&nbp), n, config, &mut rng),
-                        None => generate_target(op, &p, None, n, config, &mut rng),
-                    },
-                    _ => generate_target(op, &p, None, n, config, &mut rng),
-                };
-                (Packet::request(target, algo, op.index() as u8), algo, op)
-            };
-            if req_tx.send(packet).is_err() {
-                return; // device gone
-            }
-            tracker.record_dispatch(algo, op);
-        } else if handled == 0 {
-            // Queue full and nothing returned: block briefly on a result.
-            match res_rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(result) => {
-                    let energy = result.energy.expect("device results carry energy");
-                    let algo = result.algorithm;
-                    let op = GeneticOp::from_index(result.genetic_op).unwrap_or(GeneticOp::Random);
-                    global.offer(&result.solution, energy, start.elapsed(), (algo, op));
-                    pool.lock().insert(PoolEntry {
-                        solution: result.solution,
-                        energy,
-                        algorithm: algo,
-                        operation: op,
-                    });
-                }
-                Err(channel::RecvTimeoutError::Timeout) => {}
-                Err(channel::RecvTimeoutError::Disconnected) => return,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1052,7 +837,7 @@ mod tests {
 
     #[test]
     fn threaded_bulk_mode_reaches_a_valid_result() {
-        let q = Arc::new(random_model(20, 0.3, 208));
+        let q = random_model(20, 0.3, 208);
         let mut cfg = DabsConfig {
             devices: 2,
             blocks_per_device: 2,
@@ -1134,7 +919,7 @@ mod tests {
 
     #[test]
     fn threaded_run_reaches_small_optimum() {
-        let q = Arc::new(random_model(18, 0.4, 207));
+        let q = random_model(18, 0.4, 207);
         let opt = brute_force(&q);
         let solver = DabsSolver::new(DabsConfig {
             devices: 2,
@@ -1160,10 +945,10 @@ mod tests {
 
     #[test]
     fn threaded_time_limit_respected() {
-        let q = Arc::new(random_model(40, 0.3, 208));
+        let q = random_model(40, 0.3, 208);
         let solver = DabsSolver::new(DabsConfig {
             devices: 2,
-            blocks_per_device: 1,
+            blocks_per_device: 2,
             pool_capacity: 10,
             seed: 9,
             ..DabsConfig::default()
@@ -1238,10 +1023,10 @@ mod tests {
 
     #[test]
     fn tripped_stop_flag_returns_promptly_from_threaded() {
-        let q = Arc::new(random_model(40, 0.3, 212));
+        let q = random_model(40, 0.3, 212);
         let solver = DabsSolver::new(DabsConfig {
             devices: 2,
-            blocks_per_device: 1,
+            blocks_per_device: 3,
             pool_capacity: 8,
             seed: 22,
             ..DabsConfig::default()
@@ -1257,18 +1042,19 @@ mod tests {
             "must return promptly, took {:?}",
             t0.elapsed()
         );
+        assert_eq!(r.batches, 0, "no unit may run a batch under a tripped flag");
+        assert_eq!(r.best, Solution::zeros(40));
         // Re-running with a fresh termination must still make progress.
         let r2 = solver.run(&q, Termination::time(Duration::from_millis(100)));
         assert!(r2.batches > 0);
-        let _ = r;
     }
 
     #[test]
     fn mid_run_cancellation_stops_both_modes() {
-        let q = Arc::new(random_model(48, 0.3, 213));
+        let q = random_model(48, 0.3, 213);
         let solver = DabsSolver::new(DabsConfig {
             devices: 2,
-            blocks_per_device: 1,
+            blocks_per_device: 2,
             pool_capacity: 8,
             seed: 23,
             ..DabsConfig::default()
@@ -1318,10 +1104,10 @@ mod tests {
             &q,
             Termination::batches(400),
             Arc::new(move |inc: &Incumbent| {
-                sink.lock().push((inc.energy, inc.found_at));
+                sink.lock().unwrap().push((inc.energy, inc.found_at));
             }),
         );
-        let seen = seen.lock();
+        let seen = seen.lock().unwrap();
         assert!(!seen.is_empty(), "at least the first best must be observed");
         for w in seen.windows(2) {
             assert!(w[1].0 < w[0].0, "energies must strictly improve: {seen:?}");
@@ -1335,7 +1121,7 @@ mod tests {
 
     #[test]
     fn threaded_observer_streams_strictly_improving_incumbents() {
-        let q = Arc::new(random_model(40, 0.3, 215));
+        let q = random_model(40, 0.3, 215);
         let solver = DabsSolver::new(DabsConfig {
             devices: 2,
             blocks_per_device: 2,
@@ -1350,15 +1136,55 @@ mod tests {
             &q,
             Termination::time(Duration::from_millis(300)),
             Arc::new(move |inc: &Incumbent| {
-                sink.lock().push(inc.energy);
+                sink.lock().unwrap().push(inc.energy);
             }),
         );
-        let seen = seen.lock();
+        let seen = seen.lock().unwrap();
         assert!(!seen.is_empty());
         for w in seen.windows(2) {
             assert!(w[1] < w[0], "energies must strictly improve: {seen:?}");
         }
         assert_eq!(*seen.last().unwrap(), r.energy);
+    }
+
+    #[test]
+    fn one_unit_run_is_run_sequential() {
+        let q = random_model(24, 0.3, 220);
+        let solver = DabsSolver::new(DabsConfig {
+            devices: 3,
+            blocks_per_device: 1,
+            pool_capacity: 8,
+            seed: 96,
+            ..DabsConfig::default()
+        })
+        .unwrap();
+        let run = solver.run(&q, Termination::batches(150));
+        let seq = solver.run_sequential(&q, Termination::batches(150));
+        assert_eq!(run.best, seq.best);
+        assert_eq!(run.energy, seq.energy);
+        assert_eq!(run.batches, seq.batches);
+        assert_eq!(run.flips, seq.flips);
+        assert_eq!(run.frequencies, seq.frequencies);
+        assert_eq!(run.first_finder, seq.first_finder);
+    }
+
+    #[test]
+    fn two_unit_run_spends_exactly_its_batch_budget() {
+        let q = random_model(24, 0.3, 221);
+        let solver = DabsSolver::new(DabsConfig {
+            devices: 2,
+            blocks_per_device: 2,
+            pool_capacity: 8,
+            seed: 97,
+            ..DabsConfig::default()
+        })
+        .unwrap();
+        for budget in [2u64, 3, 101] {
+            let r = solver.run(&q, Termination::batches(budget));
+            assert_eq!(r.batches, budget);
+            assert_eq!(r.frequencies.total(), budget);
+            assert_eq!(q.energy(&r.best), r.energy);
+        }
     }
 
     #[test]
@@ -1414,7 +1240,7 @@ mod tests {
             &q,
             Termination::batches(200),
             Some(Arc::new(move |inc: &Incumbent| {
-                sink.lock().push(inc.energy);
+                sink.lock().unwrap().push(inc.energy);
             })),
             Some(WarmStart {
                 solution: cold.best.clone(),
@@ -1429,7 +1255,7 @@ mod tests {
         let out = unit.finish();
         assert!(out.found, "warm start alone counts as a found solution");
         assert!(out.result.energy <= cold.energy);
-        for e in seen.lock().iter() {
+        for e in seen.lock().unwrap().iter() {
             assert!(*e < cold.energy, "observer fired at non-improvement {e}");
         }
     }

@@ -18,7 +18,7 @@ pub const N_ALGOS: usize = 5;
 /// Number of operation slots (8 DABS ops + CrossMutate).
 pub const N_OPS: usize = 9;
 
-/// Thread-safe execution counters, shared by all host threads of one run.
+/// Execution counters of one run.
 #[derive(Debug, Default)]
 pub struct FrequencyTracker {
     algo_executed: [AtomicU64; N_ALGOS],

@@ -1,170 +1,9 @@
-//! Virtual devices and their block workers.
+//! The inline device and its resident block state.
 
-use crate::{DeviceStats, Packet, SharedBest, StopFlag};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use dabs_model::{
-    BatchKernel, BatchState, CsrKernel, DenseKernel, IncrementalState, KernelKind, QuboModel,
-    Solution,
-};
-use dabs_rng::{Rng64, SplitMix64, Xorshift64Star};
+use crate::{DeviceStats, Packet, SharedBest};
+use dabs_model::{BatchKernel, BatchState, CsrKernel, IncrementalState, QuboModel, Solution};
+use dabs_rng::{Rng64, Xorshift64Star};
 use dabs_search::{BatchSearch, BulkSweep, SearchParams, BULK_CYCLE_ROUNDS};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Configuration of one virtual device.
-#[derive(Debug, Clone)]
-pub struct DeviceConfig {
-    /// Number of block workers (the paper dispatches 216 CUDA blocks per
-    /// A100; on CPU a handful of threads per device is the equivalent).
-    pub blocks: usize,
-    /// Batch-search flip budgets.
-    pub params: SearchParams,
-    /// Seed from which every block derives its private RNG stream.
-    pub seed: u64,
-}
-
-impl Default for DeviceConfig {
-    fn default() -> Self {
-        Self {
-            blocks: 2,
-            params: SearchParams::default(),
-            seed: 0xDAB5,
-        }
-    }
-}
-
-/// Handle to a running [`VirtualDevice`]: join it to shut down cleanly.
-#[derive(Debug)]
-pub struct DeviceHandle {
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl DeviceHandle {
-    /// Wait for every block worker to exit. Workers exit when the stop flag
-    /// is raised or the request channel disconnects.
-    pub fn join(self) {
-        for w in self.workers {
-            let _ = w.join();
-        }
-    }
-}
-
-/// One simulated GPU.
-pub struct VirtualDevice;
-
-impl VirtualDevice {
-    /// Spawn the device's block workers.
-    ///
-    /// Each block loops: receive a request packet, run a batch search on its
-    /// resident state, send back the result packet. `shared` is the
-    /// device-wide `atomicMin` best; `stop` ends the loop between batches.
-    pub fn spawn(
-        model: Arc<QuboModel>,
-        config: DeviceConfig,
-        requests: Receiver<Packet>,
-        results: Sender<Packet>,
-        shared: Arc<SharedBest>,
-        stop: Arc<StopFlag>,
-        stats: Arc<DeviceStats>,
-    ) -> DeviceHandle {
-        let mut seeder = SplitMix64::new(config.seed);
-        let workers = (0..config.blocks.max(1))
-            .map(|_| {
-                let model = Arc::clone(&model);
-                let rx = requests.clone();
-                let tx = results.clone();
-                let shared = Arc::clone(&shared);
-                let stop = Arc::clone(&stop);
-                let stats = Arc::clone(&stats);
-                let params = config.params;
-                let seed = seeder.next_u64();
-                std::thread::spawn(move || {
-                    // Monomorphize the batch loop on the model's selected
-                    // kernel backend; the dispatch happens once per thread,
-                    // never per batch.
-                    match model.kernel_kind() {
-                        KernelKind::Dense => block_loop(
-                            &model,
-                            DenseKernel::new(&model),
-                            params,
-                            seed,
-                            rx,
-                            tx,
-                            &shared,
-                            &stop,
-                            &stats,
-                        ),
-                        KernelKind::Csr => block_loop(
-                            &model,
-                            CsrKernel::new(&model),
-                            params,
-                            seed,
-                            rx,
-                            tx,
-                            &shared,
-                            &stop,
-                            &stats,
-                        ),
-                    }
-                })
-            })
-            .collect();
-        DeviceHandle { workers }
-    }
-}
-
-/// The per-block work loop (one CUDA block in the paper's Fig. 4(2)).
-#[allow(clippy::too_many_arguments)]
-fn block_loop<K: BatchKernel>(
-    model: &QuboModel,
-    kernel: K,
-    params: SearchParams,
-    seed: u64,
-    requests: Receiver<Packet>,
-    results: Sender<Packet>,
-    shared: &SharedBest,
-    stop: &StopFlag,
-    stats: &DeviceStats,
-) {
-    let mut rng = Xorshift64Star::new(seed);
-    let mut bulk = (params.batch_lanes >= 64)
-        .then(|| BulkResident::new(kernel, params.batch_lanes as usize, seed));
-    let mut state = IncrementalState::with_kernel(model, kernel);
-    let mut batch = BatchSearch::new(model.n(), params);
-    loop {
-        if stop.is_stopped() {
-            return;
-        }
-        let packet = match requests.recv_timeout(Duration::from_millis(5)) {
-            Ok(p) => p,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        let sent = if let Some(bulk) = bulk.as_mut() {
-            let leg = bulk.leg(&packet.solution, &mut rng);
-            let improved = shared.merge_lanes(bulk.state.best_energies());
-            stats.record_batch(leg.flips, improved);
-            results
-                .send(
-                    packet
-                        .into_result(leg.best, leg.energy)
-                        .with_lane_energies(bulk.state.energies().to_vec()),
-                )
-                .is_ok()
-        } else {
-            let out = batch.run(&mut state, &packet.solution, packet.algorithm, &mut rng);
-            let improved = shared.update(out.energy);
-            stats.record_batch(out.flips, improved);
-            results
-                .send(packet.into_result(out.best, out.energy))
-                .is_ok()
-        };
-        if !sent {
-            return; // host went away
-        }
-    }
-}
 
 /// The resident bit-sliced batch of one bulk-mode block: `B` candidate
 /// lanes ([`BatchState`]) plus their threshold-accepting sweep
@@ -245,9 +84,9 @@ impl<K: BatchKernel> BulkResident<K> {
     }
 }
 
-/// A single-threaded, deterministic device used in tests and in the
-/// solver's sequential mode: processes one packet per call on a resident
-/// block state, with no channels or threads involved. Generic over the
+/// A single-threaded, deterministic device — the one device model every
+/// solver run uses: processes one packet per call on a resident block
+/// state, with no channels or threads involved. Generic over the
 /// energy-kernel backend; [`InlineDevice::new`] builds the CSR-backed
 /// default, [`InlineDevice::with_kernel`] takes whichever backend the model
 /// selected.
@@ -351,8 +190,7 @@ impl<'m, K: BatchKernel> InlineDevice<'m, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel;
-    use dabs_model::QuboBuilder;
+    use dabs_model::{DenseKernel, QuboBuilder};
     use dabs_search::MainAlgorithm;
 
     fn random_model(n: usize, seed: u64) -> QuboModel {
@@ -435,90 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_device_runs_dense_models() {
-        let mut model = random_model(40, 211);
-        model.select_kernel(dabs_model::KernelChoice::Dense);
-        let q = Arc::new(model);
-        let (req_tx, req_rx) = channel::bounded::<Packet>(8);
-        let (res_tx, res_rx) = channel::unbounded::<Packet>();
-        let stop = Arc::new(StopFlag::new());
-        let handle = VirtualDevice::spawn(
-            Arc::clone(&q),
-            DeviceConfig::default(),
-            req_rx,
-            res_tx,
-            Arc::new(SharedBest::new()),
-            Arc::clone(&stop),
-            Arc::new(DeviceStats::new()),
-        );
-        let mut rng = Xorshift64Star::new(6);
-        for i in 0..4 {
-            req_tx
-                .send(Packet::request(
-                    Solution::random(40, &mut rng),
-                    MainAlgorithm::ALL[i % 5],
-                    i as u8,
-                ))
-                .unwrap();
-        }
-        for _ in 0..4 {
-            let r = res_rx.recv_timeout(Duration::from_secs(30)).unwrap();
-            assert_eq!(q.energy(&r.solution), r.energy.unwrap());
-        }
-        stop.stop();
-        handle.join();
-    }
-
-    #[test]
-    fn threaded_device_processes_all_requests() {
-        let q = Arc::new(random_model(40, 113));
-        let (req_tx, req_rx) = channel::bounded::<Packet>(16);
-        let (res_tx, res_rx) = channel::unbounded::<Packet>();
-        let shared = Arc::new(SharedBest::new());
-        let stop = Arc::new(StopFlag::new());
-        let stats = Arc::new(DeviceStats::new());
-        let handle = VirtualDevice::spawn(
-            Arc::clone(&q),
-            DeviceConfig {
-                blocks: 3,
-                params: SearchParams::default(),
-                seed: 42,
-            },
-            req_rx,
-            res_tx,
-            Arc::clone(&shared),
-            Arc::clone(&stop),
-            Arc::clone(&stats),
-        );
-        let mut rng = Xorshift64Star::new(5);
-        let total = 20;
-        for i in 0..total {
-            let algo = MainAlgorithm::ALL[i % 5];
-            req_tx
-                .send(Packet::request(
-                    Solution::random(40, &mut rng),
-                    algo,
-                    i as u8,
-                ))
-                .unwrap();
-        }
-        let mut results = Vec::new();
-        for _ in 0..total {
-            let r = res_rx.recv_timeout(Duration::from_secs(30)).unwrap();
-            assert!(r.is_result());
-            assert_eq!(q.energy(&r.solution), r.energy.unwrap());
-            results.push(r);
-        }
-        stop.stop();
-        handle.join();
-        assert_eq!(results.len(), total);
-        assert_eq!(stats.batches(), total as u64);
-        // the shared best equals the minimum over all results
-        let min = results.iter().map(|r| r.energy.unwrap()).min().unwrap();
-        assert_eq!(shared.get(), min);
-    }
-
-    #[test]
     fn inline_bulk_device_round_trips_lane_results() {
         let q = random_model(50, 310);
         let params = SearchParams {
@@ -581,89 +335,5 @@ mod tests {
         let res = dev.process(Packet::request(warm, MainAlgorithm::MaxMin, 0));
         assert_eq!(res.lane_energies.len(), 64);
         assert_eq!(q.energy(&res.solution), res.energy.unwrap());
-    }
-
-    #[test]
-    fn threaded_bulk_device_processes_requests() {
-        let q = Arc::new(random_model(40, 313));
-        let (req_tx, req_rx) = channel::bounded::<Packet>(8);
-        let (res_tx, res_rx) = channel::unbounded::<Packet>();
-        let shared = Arc::new(SharedBest::new());
-        let stop = Arc::new(StopFlag::new());
-        let handle = VirtualDevice::spawn(
-            Arc::clone(&q),
-            DeviceConfig {
-                blocks: 2,
-                params: SearchParams {
-                    batch_lanes: 64,
-                    ..SearchParams::default()
-                },
-                seed: 77,
-            },
-            req_rx,
-            res_tx,
-            Arc::clone(&shared),
-            Arc::clone(&stop),
-            Arc::new(DeviceStats::new()),
-        );
-        let mut rng = Xorshift64Star::new(8);
-        for i in 0..4 {
-            req_tx
-                .send(Packet::request(
-                    Solution::random(40, &mut rng),
-                    MainAlgorithm::ALL[i % 5],
-                    i as u8,
-                ))
-                .unwrap();
-        }
-        let mut min = i64::MAX;
-        for _ in 0..4 {
-            let r = res_rx.recv_timeout(Duration::from_secs(30)).unwrap();
-            assert_eq!(r.lane_energies.len(), 64);
-            assert_eq!(q.energy(&r.solution), r.energy.unwrap());
-            min = min.min(*r.lane_energies.iter().min().unwrap());
-        }
-        stop.stop();
-        handle.join();
-        // The shared register min-merged every lane, so it is at least as
-        // good as the best lane any result reported.
-        assert!(shared.get() <= min);
-    }
-
-    #[test]
-    fn device_exits_on_channel_disconnect() {
-        let q = Arc::new(random_model(10, 114));
-        let (req_tx, req_rx) = channel::bounded::<Packet>(4);
-        let (res_tx, _res_rx) = channel::unbounded::<Packet>();
-        let handle = VirtualDevice::spawn(
-            q,
-            DeviceConfig::default(),
-            req_rx,
-            res_tx,
-            Arc::new(SharedBest::new()),
-            Arc::new(StopFlag::new()),
-            Arc::new(DeviceStats::new()),
-        );
-        drop(req_tx); // disconnect
-        handle.join(); // must not hang
-    }
-
-    #[test]
-    fn device_exits_on_stop_flag() {
-        let q = Arc::new(random_model(10, 115));
-        let (_req_tx, req_rx) = channel::bounded::<Packet>(4);
-        let (res_tx, _res_rx) = channel::unbounded::<Packet>();
-        let stop = Arc::new(StopFlag::new());
-        let handle = VirtualDevice::spawn(
-            q,
-            DeviceConfig::default(),
-            req_rx,
-            res_tx,
-            Arc::new(SharedBest::new()),
-            Arc::clone(&stop),
-            Arc::new(DeviceStats::new()),
-        );
-        stop.stop();
-        handle.join(); // must not hang
     }
 }

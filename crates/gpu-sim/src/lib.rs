@@ -1,4 +1,5 @@
-//! Virtual multi-GPU substrate (paper §V, substituted per DESIGN.md).
+//! CPU simulation of the paper's GPU execution model (paper §V,
+//! substituted per DESIGN.md).
 //!
 //! The paper runs bulk search on eight NVIDIA A100s: each GPU hosts up to
 //! 216 CUDA blocks, every block keeps a resident solution vector and
@@ -6,27 +7,30 @@
 //! returning its best solution when the batch ends. Communication is by
 //! packet transfer; the host never computes energies.
 //!
-//! This crate reproduces that architecture on CPU threads:
+//! This crate keeps that contract on the CPU, one device per call site:
 //!
-//! * [`VirtualDevice`] — one simulated GPU: a set of *block* worker threads
-//!   sharing the read-only model (the paper's global-memory `W` matrix).
+//! * [`InlineDevice`] — one simulated device: a resident block state (or a
+//!   bit-sliced batch of candidate lanes) that turns one request packet
+//!   into one result packet per call, on the caller's thread.
 //! * [`Packet`] — the four-field packet of Table I: solution vector, energy
 //!   (void on the way in), main search algorithm, genetic-operation tag.
 //! * [`SharedBest`] — the `atomicMin`-style device-wide best energy.
 //! * [`DeviceStats`] — flip/batch counters for throughput reporting.
+//! * [`StopFlag`] — the cooperative stop signal a run checks between
+//!   batches.
 //!
-//! Blocks receive work over a bounded channel (the host keeps it fed, as
-//! its OpenMP threads do in the paper) and push results back over an
-//! unbounded channel. The DABS host layer in `dabs-core` owns the solution
-//! pools and the GA; this crate knows nothing about genetic operations —
-//! the packet's operation field is an opaque tag it faithfully round-trips.
+//! Parallelism lives above this crate: `dabs-core` runs several sequential
+//! solver units side by side, each with its own devices. The DABS host
+//! layer in `dabs-core` owns the solution pools and the GA; this crate
+//! knows nothing about genetic operations — the packet's operation field is
+//! an opaque tag it faithfully round-trips.
 
 mod device;
 mod packet;
 mod shared;
 mod stats;
 
-pub use device::{DeviceConfig, DeviceHandle, InlineDevice, VirtualDevice};
+pub use device::InlineDevice;
 pub use packet::Packet;
 pub use shared::{SharedBest, StopFlag};
 pub use stats::DeviceStats;

@@ -51,7 +51,7 @@ impl Default for SharedBest {
     }
 }
 
-/// Cooperative termination flag checked by every block between batches.
+/// Cooperative termination flag, checked by a solver run before every batch.
 #[derive(Debug, Default)]
 pub struct StopFlag {
     flag: AtomicBool,

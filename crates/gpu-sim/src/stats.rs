@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Flip/batch throughput counters, updated by block threads and read by the
+/// Flip/batch throughput counters, updated by the device and read by the
 /// host (all relaxed: they are monotone counters used for reporting only).
 #[derive(Debug, Default)]
 pub struct DeviceStats {

@@ -15,25 +15,19 @@
 //! graph) are external data we do not ship; seeded generators with matching
 //! size, density and weight structure stand in for them (see DESIGN.md's
 //! substitution table). [`tsp`] adds the paper's §II-B remark that TSP
-//! reduces to QAP; [`partition`] and [`vertexcover`] are two further
-//! classic reductions backing the introduction's "many NP-hard problems
-//! can be reduced to QUBO".
+//! reduces to QAP.
 
 pub mod gset;
 pub mod maxcut;
-pub mod partition;
 pub mod qap;
 pub mod qaplib;
 pub mod qasp;
 pub mod topology;
 pub mod tsp;
-pub mod vertexcover;
 
 pub use gset::{g22_like, g39_like, k2000_like, GsetClass};
 pub use maxcut::MaxCutProblem;
-pub use partition::PartitionProblem;
 pub use qap::QapInstance;
 pub use qasp::QaspInstance;
 pub use topology::Topology;
 pub use tsp::TspInstance;
-pub use vertexcover::VertexCoverProblem;

@@ -48,7 +48,6 @@ mod metrics;
 mod obs;
 mod pool;
 mod protocol;
-mod queue;
 mod server;
 mod sink;
 mod spec;
@@ -66,11 +65,10 @@ pub use metrics::{drive_fleet, percentile, LatencySummary, PoolLoad};
 pub use obs::{
     net_obs, pool_obs, timeline_to_chrome, NetObs, PoolObs, TimelineEvent, TimelineKind,
 };
-pub use pool::{execute, ElasticPool, PoolGauges, MIN_UNIT_BATCHES};
+pub use pool::{execute, AdmissionError, ElasticPool, PoolGauges, MIN_UNIT_BATCHES};
 pub use protocol::{
     ErrorCode, JobId, ProtocolError, Request, Response, PROTOCOL_FEATURES, PROTOCOL_VERSION,
 };
-pub use queue::{AdmissionError, JobQueue};
 pub use server::{Server, ServerConfig, ServerState};
 pub use sink::LineSink;
 pub use spec::{

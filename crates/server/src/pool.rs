@@ -2,9 +2,9 @@
 //!
 //! The fixed job-per-worker pool bound one whole job to one long-lived
 //! thread — a single saturating job monopolized its worker while siblings
-//! idled. Here admission decomposes every sequential job into **units**
-//! (slices of its batch budget, plus cube-seeded subproblem starts for
-//! large instances), scheduled from per-worker deques:
+//! idled. Here admission decomposes every job into **units** (slices of its
+//! batch budget, plus cube-seeded subproblem starts for large instances),
+//! scheduled from per-worker deques:
 //!
 //! - an idle worker takes the most urgent queued unit anywhere in the pool
 //!   (priority first, then units of jobs that have not started yet, then
@@ -33,7 +33,6 @@
 use crate::chaos::{chaos_hit, FaultPlan, FaultSite};
 use crate::job::{JobRecord, UnitEnd, QUARANTINE_PANIC_THRESHOLD};
 use crate::obs::{pool_obs, TimelineKind};
-use crate::queue::AdmissionError;
 use crate::spec::{now_unix_ms, ExecMode, JobSpec, MAX_UNITS_PER_JOB};
 use dabs_core::{Incumbent, IncumbentObserver, SolveResult, Termination, UnitOutcome, WarmStart};
 use dabs_model::{IncrementalState, QuboModel, Solution};
@@ -44,6 +43,37 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 pub use crate::job::JobPhase;
+
+/// Why [`ElasticPool::submit`] refused a job.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AdmissionError {
+    /// The queue is at capacity.
+    Full { capacity: usize },
+    /// `deadline_unix_ms` is not in the future.
+    PastDeadline { late_by_ms: u64 },
+    /// The queue was closed (server shutting down).
+    Closed,
+    /// Brownout: the pool is shedding low-priority load and this job was
+    /// refused (or evicted from the queue) to protect higher-priority work.
+    Shed,
+}
+
+impl std::fmt::Display for AdmissionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AdmissionError::Full { capacity } => {
+                write!(f, "queue full ({capacity} jobs waiting)")
+            }
+            AdmissionError::PastDeadline { late_by_ms } => {
+                write!(f, "deadline already passed {late_by_ms} ms ago")
+            }
+            AdmissionError::Closed => write!(f, "server is shutting down"),
+            AdmissionError::Shed => {
+                write!(f, "shed under overload brownout; retry with backoff")
+            }
+        }
+    }
+}
 
 /// Smallest batch budget worth decomposing: below this, per-unit setup
 /// (model build amortization aside, pool fills and RNG seeding) dominates,
@@ -92,8 +122,6 @@ enum UnitWork {
     /// highest-|Δ| bits instead of the shared incumbent — cube-and-conquer
     /// style diversification for large instances.
     Cube { index: u32, batches: Option<u64> },
-    /// The whole job, threaded mode (the solver parallelizes internally).
-    Whole,
 }
 
 /// One queued unit.
@@ -489,7 +517,8 @@ fn shed_one_lower(shared: &PoolShared, s: &mut Sched, than: i32) -> bool {
 
 /// Decompose a job spec into unit work descriptors.
 ///
-/// - Threaded jobs stay whole (the solver parallelizes internally).
+/// - Threaded jobs become `spec.blocks` units, the width
+///   `DabsSolver::run` steps in parallel.
 /// - Sequential batch-budget jobs split into at most `workers` even slices,
 ///   but only once the budget is ≥ 2×[`MIN_UNIT_BATCHES`] — small jobs stay
 ///   single-unit, which keeps them bit-identical to the offline sequential
@@ -501,10 +530,11 @@ fn shed_one_lower(shared: &PoolShared, s: &mut Sched, than: i32) -> bool {
 /// - Time/target-bounded jobs default to one unit (each extra unit would
 ///   re-run the whole window); `spec.units` opts into parallel arms.
 fn decompose(spec: &JobSpec, workers: usize) -> Vec<UnitWork> {
-    if spec.mode == ExecMode::Threaded {
-        return vec![UnitWork::Whole];
-    }
-    let width = match (spec.units, spec.max_batches) {
+    let units = match spec.mode {
+        ExecMode::Threaded => Some(spec.blocks as u32),
+        ExecMode::Sequential => spec.units,
+    };
+    let width = match (units, spec.max_batches) {
         (Some(u), _) => u as u64,
         (None, Some(b)) => (b / MIN_UNIT_BATCHES).min(workers as u64).max(1),
         (None, None) => 1,
@@ -774,8 +804,10 @@ fn execute_unit(
             return end_unit(record, ordinal, UnitEnd::Failed, 0, None, Some(e));
         }
     };
+    // Each unit searches from its own seed (the first keeps `spec.seed`, so
+    // a single-unit job is the offline sequential run).
     let solver = match record.spec.build_solver() {
-        Ok(s) => s,
+        Ok(s) => s.for_unit(u64::from(ordinal - 1)),
         Err(e) => {
             return end_unit(record, ordinal, UnitEnd::Failed, 0, None, Some(e));
         }
@@ -811,12 +843,6 @@ fn execute_unit(
     term.time_limit = window;
 
     let (slice, warm) = match &task.work {
-        UnitWork::Whole => {
-            // Threaded mode: the solver runs the whole job internally.
-            term.max_batches = record.spec.max_batches;
-            let result = solver.run_with_observer(&model, term.clone(), observer);
-            return finish_run(record, &term, result, ordinal);
-        }
         UnitWork::Slice { batches } => (*batches, record.incumbent()),
         UnitWork::Cube { index, batches } => {
             // A cube unit starts from its enumerated corner, not the shared
@@ -921,34 +947,6 @@ fn execute_unit(
     end_unit(record, ordinal, end, batches, Some(out), None)
 }
 
-/// Account a whole-job (threaded-mode) run as the record's single unit.
-fn finish_run(
-    record: &Arc<JobRecord>,
-    term: &Termination,
-    result: SolveResult,
-    unit: u32,
-) -> (UnitEnd, u64) {
-    if result.reached_target {
-        record.stop.stop();
-    }
-    let end = match classify(record, term, &result) {
-        JobPhase::Done => UnitEnd::Completed,
-        _ => UnitEnd::Interrupted,
-    };
-    let batches = result.batches;
-    end_unit(
-        record,
-        unit,
-        end,
-        batches,
-        Some(UnitOutcome {
-            result,
-            found: true,
-        }),
-        None,
-    )
-}
-
 /// Execute one job record synchronously to a terminal phase, as a
 /// sequential fold of the same units the pool would create for a one-worker
 /// pool (FIFO, incumbent broadcast between consecutive units, no stealing
@@ -1015,7 +1013,6 @@ mod tests {
     use crate::job::JobRegistry;
     use crate::spec::ProblemSpec;
     use dabs_core::Termination;
-    #[cfg(test)]
     use dabs_model::KernelChoice;
 
     fn registry() -> Arc<JobRegistry> {
@@ -1340,21 +1337,66 @@ mod tests {
             ..small_job(1, 0)
         };
         assert_eq!(decompose(&timed, 8).len(), 1);
-        // Threaded jobs stay whole.
+        // Threaded jobs become `blocks` ordinary units, whatever the pool.
         let threaded = JobSpec {
             mode: ExecMode::Threaded,
+            blocks: 3,
             ..small_job(1, 10_000)
         };
-        assert_eq!(decompose(&threaded, 8), vec![UnitWork::Whole]);
+        assert_eq!(decompose(&threaded, 8).len(), 3);
+        assert_eq!(decompose(&threaded, 1).len(), 3);
         // Budgets are partitioned exactly.
-        let budget: u64 = decompose(&wide, 2)
-            .iter()
-            .map(|w| match w {
-                UnitWork::Slice { batches } | UnitWork::Cube { batches, .. } => batches.unwrap(),
-                UnitWork::Whole => 0,
-            })
-            .sum();
-        assert_eq!(budget, 1_000);
+        for (spec, workers) in [(&wide, 2), (&threaded, 8)] {
+            let budget: u64 = decompose(spec, workers)
+                .iter()
+                .map(|w| match w {
+                    UnitWork::Slice { batches } | UnitWork::Cube { batches, .. } => {
+                        batches.unwrap()
+                    }
+                })
+                .sum();
+            assert_eq!(budget, spec.max_batches.unwrap());
+        }
+    }
+
+    #[test]
+    fn parallel_units_of_one_job_search_from_distinct_seeds() {
+        // Two units started side by side on two workers: with one shared
+        // seed the second would replay the first exactly (same best, twice
+        // the flips of one half-budget run).
+        let registry = registry();
+        let pool = ElasticPool::spawn(2, 64);
+        let record = registry.register(JobSpec {
+            problem: ProblemSpec {
+                kind: "k2000".into(),
+                n: Some(200),
+                seed: 3,
+                inline: None,
+                kernel: KernelChoice::Auto,
+            },
+            units: Some(2),
+            ..small_job(5, 40)
+        });
+        pool.submit(&record).unwrap();
+        assert!(record.wait_terminal(Duration::from_secs(60)));
+        let (phase, result, error) = record.snapshot();
+        assert_eq!(phase, JobPhase::Done, "{error:?}");
+        let result = result.unwrap();
+        assert_eq!(result.batches, 40);
+        let (model, _) = record.spec.problem.build().unwrap();
+        let half = record
+            .spec
+            .build_solver()
+            .unwrap()
+            .run_sequential(&model, Termination::batches(20));
+        assert!(
+            !(result.energy == half.energy
+                && result.best == half.best
+                && result.flips == 2 * half.flips),
+            "the second unit repeated the first"
+        );
+        pool.close();
+        pool.join();
     }
 
     #[test]

@@ -19,9 +19,8 @@ use crate::chaos::FaultPlan;
 use crate::event_loop::{self, NetHandle};
 use crate::job::{JobPhase, JobRegistry, Registered, WatchKind};
 use crate::obs::net_obs;
-use crate::pool::ElasticPool;
+use crate::pool::{AdmissionError, ElasticPool};
 use crate::protocol::{ErrorCode, JobId, Request, Response, PROTOCOL_FEATURES, PROTOCOL_VERSION};
-use crate::queue::AdmissionError;
 use crate::sink::LineSink;
 use crate::spec::JobSpec;
 use crate::wal::{Wal, WalRecord};

@@ -27,9 +27,11 @@ pub const MAX_PROBLEM_N: usize = 4096;
 /// QAP generators (`tai`/`nug`/`tho`) square their size into n² QUBO
 /// variables, so their cap is the square root of the variable budget.
 pub const MAX_QAP_SIZE: usize = 64;
-/// Threaded mode spawns a devices × (blocks + 1) thread tree per job.
+/// Every unit of a job holds `devices` solution pools and inline devices,
+/// so the pool count bounds a unit's memory and per-batch setup.
 pub const MAX_DEVICES: usize = 32;
-/// See [`MAX_DEVICES`].
+/// A threaded job becomes `blocks` units on the pool, so this caps its
+/// share of the unit queue (it stays below [`MAX_UNITS_PER_JOB`]).
 pub const MAX_BLOCKS: usize = 32;
 
 /// Which instance to solve. `kind` selects a generator family (the same set
@@ -276,7 +278,9 @@ pub enum ExecMode {
     /// tenants and for tests.
     #[default]
     Sequential,
-    /// Full threaded solve (devices × blocks thread-tree) on the worker.
+    /// Parallel solve: the job becomes `blocks` ordinary units on the
+    /// elastic pool, the width `DabsSolver::run` steps side by side. No job
+    /// spawns threads of its own.
     Threaded,
 }
 
@@ -303,7 +307,8 @@ pub struct JobSpec {
     pub problem: ProblemSpec,
     /// Solver pools/devices (paper's island count).
     pub devices: usize,
-    /// Block workers per device (threaded mode only).
+    /// Parallel width of a threaded job: how many units it becomes
+    /// (threaded mode only).
     pub blocks: usize,
     /// Solver seed.
     pub seed: u64,
@@ -314,7 +319,7 @@ pub struct JobSpec {
     pub target: Option<i64>,
     /// Wall-clock budget, milliseconds.
     pub time_ms: Option<u64>,
-    /// Batch budget (exact in sequential mode).
+    /// Batch budget, split exactly across the job's units.
     pub max_batches: Option<u64>,
     /// Higher runs first; ties are FIFO.
     pub priority: i32,
@@ -324,9 +329,10 @@ pub struct JobSpec {
     /// clamped to the remaining window.
     pub deadline_unix_ms: Option<u64>,
     /// Explicit decomposition width: how many stealable units the scheduler
-    /// splits this job into (sequential mode only). `None` lets the pool
-    /// decide from the batch budget and worker count; capped at
-    /// [`MAX_UNITS_PER_JOB`].
+    /// splits this job into (sequential mode only; a threaded job's width is
+    /// `blocks`). `None` lets the pool decide from the batch budget and
+    /// worker count; capped at [`MAX_UNITS_PER_JOB`]. The first unit runs
+    /// with `seed`, the others with their own `DabsSolver::for_unit` seeds.
     pub units: Option<u32>,
     /// Bit-sliced batch width per device: `None`/0 runs the scalar
     /// strategies, a multiple of 64 in `[64, 256]` runs the bulk lockstep
@@ -620,7 +626,7 @@ mod tests {
         assert!(bounded(ProblemSpec::inline_text("p qubo 0 4 0 0\n"))
             .validate()
             .is_ok());
-        // Thread-tree shape is capped too.
+        // Pool count and parallel width are capped too.
         let wide = JobSpec {
             devices: MAX_DEVICES + 1,
             max_batches: Some(1),

@@ -1,9 +1,9 @@
 //! Property-based tests on the GA layer: genetic operations, adaptive
-//! selection, and the island ring.
+//! selection, and the solution pool.
 
 use dabs::core::{
-    generate_target, select_algorithm, select_operation, DabsConfig, GeneticOp, IslandRing,
-    PoolEntry, SolutionPool,
+    generate_target, select_algorithm, select_operation, DabsConfig, GeneticOp, PoolEntry,
+    SolutionPool,
 };
 use dabs::model::Solution;
 use dabs::rng::Xorshift64Star;
@@ -104,21 +104,6 @@ proptest! {
             (mean - expect).abs() < 6.0 * sigma,
             "mean mutation distance {mean}, expected ≈ {expect}"
         );
-    }
-
-    #[test]
-    fn island_ring_neighbors_partition_correctly(count in 1usize..9) {
-        let ring = IslandRing::new(count, 4, false);
-        for i in 0..count {
-            let nb = ring.neighbor_index(i);
-            prop_assert!(nb < count);
-            if count == 1 {
-                prop_assert_eq!(nb, i);
-            } else {
-                prop_assert_ne!(nb, i);
-                prop_assert_eq!(nb, (i + 1) % count);
-            }
-        }
     }
 
     #[test]

@@ -147,8 +147,8 @@ fn auto_kernel_matches_forced_kernels_exactly() {
 
 #[test]
 fn threaded_run_on_dense_kernel_reaches_the_proven_optimum() {
-    // The threaded path dispatches per block worker; make sure a dense
-    // model solves correctly end to end there too.
+    // The parallel run dispatches the kernel once per unit thread; make
+    // sure a dense model solves correctly end to end there too.
     let q = random_model_with_kernel(16, 0.6, 72, KernelChoice::Dense);
     let truth = exhaustive(&q).energy;
     let model = Arc::new(q.clone());
