@@ -163,6 +163,13 @@ impl SymmetricCsr {
         self.vals.iter().map(|v| v.abs()).sum::<i64>() / 2
     }
 
+    /// Heap footprint of the row offsets, columns and weights in bytes.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.offsets.capacity() + self.cols.capacity()) * size_of::<u32>()
+            + self.vals.capacity() * size_of::<i64>()
+    }
+
     /// Largest absolute edge weight.
     pub fn max_abs_weight(&self) -> i64 {
         self.vals.iter().map(|v| v.abs()).max().unwrap_or(0)

@@ -63,6 +63,12 @@ impl DenseStrips {
         self.w.len() * std::mem::size_of::<i64>()
     }
 
+    /// What [`Self::bytes`] will be for an `n`-variable matrix, without
+    /// materializing it.
+    pub fn bytes_for(n: usize) -> usize {
+        n * n.div_ceil(64) * 64 * std::mem::size_of::<i64>()
+    }
+
     /// Full padded row `i` (length [`Self::stride`]).
     #[inline]
     pub fn row(&self, i: usize) -> &[i64] {
@@ -108,5 +114,7 @@ mod tests {
         let adj = SymmetricCsr::from_edges(3, &[(0, 1, 1)]).unwrap();
         let d = DenseStrips::from_csr(&adj);
         assert_eq!(d.bytes(), 3 * 64 * 8);
+        assert_eq!(DenseStrips::bytes_for(3), d.bytes());
+        assert_eq!(DenseStrips::bytes_for(65), 65 * 128 * 8);
     }
 }

@@ -118,6 +118,18 @@ impl QuboModel {
         self.dense.get().is_some()
     }
 
+    /// Heap bytes this model holds once solved on its selected kernel: the
+    /// CSR arrays and the diagonal, plus the dense strip matrix whenever
+    /// the dense kernel is selected — counted before it is materialized,
+    /// since the first solve allocates it.
+    pub fn heap_bytes(&self) -> usize {
+        let dense = match self.kind {
+            KernelKind::Dense => DenseStrips::bytes_for(self.n()),
+            KernelKind::Csr => 0,
+        };
+        self.adj.heap_bytes() + self.diag.capacity() * std::mem::size_of::<i64>() + dense
+    }
+
     /// Off-diagonal fill ratio `m / (n(n−1)/2)` ∈ [0, 1].
     pub fn density(&self) -> f64 {
         let n = self.n();
@@ -386,5 +398,21 @@ mod tests {
         assert!(!q.dense_materialized());
         assert!(q.dense_strips().is_some());
         assert!(q.dense_materialized());
+    }
+
+    #[test]
+    fn heap_bytes_counts_dense_strips_once_selected() {
+        let mut q = toy();
+        q.select_kernel(crate::KernelChoice::Csr);
+        let sparse = q.heap_bytes();
+        assert!(sparse >= q.adjacency().heap_bytes() + 3 * 8);
+        q.select_kernel(crate::KernelChoice::Dense);
+        let dense = q.heap_bytes();
+        assert_eq!(dense - sparse, DenseStrips::bytes_for(3));
+        // Materializing the strips moves no figure: they were already
+        // counted at selection.
+        let strips = q.dense_strips().expect("dense selected").bytes();
+        assert_eq!(q.heap_bytes(), dense);
+        assert_eq!(strips, DenseStrips::bytes_for(3));
     }
 }

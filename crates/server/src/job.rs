@@ -12,12 +12,12 @@
 use crate::obs::{TimelineEvent, TimelineKind};
 use crate::protocol::{JobId, Response};
 use crate::sink::LineSink;
-use crate::spec::{now_unix_ms, JobSpec};
+use crate::spec::{model_cache, now_unix_ms, JobSpec};
 use dabs_core::{SolveResult, StopFlag, UnitOutcome};
 use dabs_model::{QuboModel, Solution};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Called once per job, at its terminal transition, with the final phase,
@@ -163,6 +163,15 @@ struct TimelineLog {
     dropped: u64,
 }
 
+/// Where a job's model is: not asked for yet, fetched or built (or its
+/// build error), or released at the terminal transition.
+#[derive(Debug)]
+enum ModelSlot {
+    Pending,
+    Ready(Result<Arc<QuboModel>, String>),
+    Released,
+}
+
 /// One admitted job.
 pub struct JobRecord {
     pub id: JobId,
@@ -180,9 +189,8 @@ pub struct JobRecord {
     incumbent: Mutex<IncumbentStore>,
     units: Mutex<UnitBook>,
     timeline: Mutex<TimelineLog>,
-    /// Lazily-built model shared by every unit of the job (built by
-    /// whichever worker executes the job's first unit).
-    model: OnceLock<Result<Arc<QuboModel>, String>>,
+    /// The model shared by every unit of the job (see [`JobRecord::model`]).
+    model: Mutex<ModelSlot>,
     /// When the job's first unit began executing — the origin of the job's
     /// wall-clock window, shared by all units so `time_ms` bounds the job,
     /// not each unit.
@@ -219,7 +227,7 @@ impl JobRecord {
             incumbent: Mutex::new(IncumbentStore::default()),
             units: Mutex::new(UnitBook::default()),
             timeline: Mutex::new(TimelineLog::default()),
-            model: OnceLock::new(),
+            model: Mutex::new(ModelSlot::Pending),
             first_unit_start: OnceLock::new(),
             terminal_hook: OnceLock::new(),
             panics: AtomicU32::new(0),
@@ -346,12 +354,34 @@ impl JobRecord {
         }
     }
 
-    /// Build (once) and share the job's model. Every unit calls this; only
-    /// the first pays the construction cost.
+    /// The job's model, shared by every unit. The first unit to ask takes
+    /// it from the process-wide model cache, which builds only on a miss
+    /// or for an inline document; later units wait for that unit and
+    /// share its result, so a job builds at most once, for a model or an
+    /// error. The terminal transition releases the record's handle, and
+    /// asking after it is an error.
     pub fn model(&self) -> Result<Arc<QuboModel>, String> {
-        self.model
-            .get_or_init(|| self.spec.problem.build().map(|(m, _name)| Arc::new(m)))
-            .clone()
+        let mut slot = self.model_slot();
+        match &*slot {
+            ModelSlot::Ready(built) => built.clone(),
+            ModelSlot::Released => Err("the job is terminal and released its model".into()),
+            ModelSlot::Pending => {
+                let built = model_cache().get_or_build(&self.spec.problem);
+                *slot = ModelSlot::Ready(built.clone());
+                built
+            }
+        }
+    }
+
+    /// Whether the record holds a model now. A terminal record never does.
+    pub fn holds_model(&self) -> bool {
+        matches!(*self.model_slot(), ModelSlot::Ready(Ok(_)))
+    }
+
+    /// The slot survives a panicking build: the lock is taken through a
+    /// poison, and the slot is still `Pending`, so the next unit retries.
+    fn model_slot(&self) -> MutexGuard<'_, ModelSlot> {
+        self.model.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The origin of the job's shared wall-clock window: set when the first
@@ -530,10 +560,17 @@ impl JobRecord {
         self.notify_terminal();
     }
 
-    /// Wake synchronous waiters, fire the terminal hook (durable log first),
-    /// then send the terminal `done` line to every watcher. Call exactly
-    /// once, after the terminal transition.
+    /// Release the record's model, wake synchronous waiters, fire the
+    /// terminal hook (durable log first), then send the terminal `done`
+    /// line to every watcher. Call exactly once, after the terminal
+    /// transition. Every terminal path comes through here: the unit fold,
+    /// cancel while queued, expiry, shedding, and the shutdown drain.
     fn notify_terminal(&self) {
+        // Before anyone hears of the end, so a client holding the `done`
+        // line never sees the record pin memory. A cached model lives on in
+        // the cache; an uncached one is freed once the running units drop
+        // their own handles.
+        *self.model_slot() = ModelSlot::Released;
         let (phase, result, error) = self.snapshot();
         self.push_timeline(TimelineKind::Terminal {
             phase: phase.name().to_string(),
@@ -876,6 +913,8 @@ impl JobRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::execute;
+    use crate::spec::ProblemSpec;
     use std::sync::mpsc::channel;
 
     fn record() -> Arc<JobRecord> {
@@ -1163,6 +1202,73 @@ mod tests {
             Registered::Duplicate(r) => assert_eq!(r.id, 41),
             Registered::New(_) => panic!("replayed key lost"),
         }
+    }
+
+    #[test]
+    fn jobs_with_one_generator_spec_share_one_model() {
+        let reg = JobRegistry::new();
+        // A problem seed no other test uses, so no other job shares it.
+        let problem = ProblemSpec::random(40, 0x5EED_CAFE);
+        let job = |seed| JobSpec {
+            problem: problem.clone(),
+            seed,
+            max_batches: Some(1),
+            ..JobSpec::default()
+        };
+        let (a, b) = (reg.register(job(1)), reg.register(job(2)));
+        let (ma, mb) = (a.model().unwrap(), b.model().unwrap());
+        assert!(Arc::ptr_eq(&ma, &mb), "one model for one generator spec");
+        assert_eq!(*ma, problem.build().unwrap().0, "equal to a fresh build");
+        assert!(Arc::ptr_eq(&a.model().unwrap(), &ma), "one fetch per job");
+        assert!(a.holds_model() && b.holds_model());
+    }
+
+    fn inline_record(reg: &JobRegistry, lanes: Option<u32>) -> Arc<JobRecord> {
+        let mut b = dabs_model::QuboBuilder::new(6);
+        b.add_linear(0, -2)
+            .add_quadratic(0, 3, 4)
+            .add_quadratic(2, 5, -3);
+        reg.register(JobSpec {
+            problem: ProblemSpec::inline_text(dabs_model::io::write_qubo(&b.build().unwrap())),
+            max_batches: Some(5),
+            lanes,
+            ..JobSpec::default()
+        })
+    }
+
+    /// Build the record's model, keep only a `Weak` to it, drive the record
+    /// terminal, and check the model is gone.
+    fn assert_released(r: &Arc<JobRecord>, drive: impl FnOnce(&Arc<JobRecord>), phase: JobPhase) {
+        let weak = Arc::downgrade(&r.model().unwrap());
+        assert!(weak.upgrade().is_some(), "the live record holds its model");
+        drive(r);
+        assert_eq!(r.phase(), phase);
+        assert!(weak.upgrade().is_none(), "{phase:?} record kept its model");
+        assert!(!r.holds_model());
+        assert!(r.model().is_err(), "a terminal record builds nothing");
+    }
+
+    #[test]
+    fn every_terminal_path_releases_the_model() {
+        let reg = JobRegistry::new();
+        assert_released(&inline_record(&reg, None), execute, JobPhase::Done);
+        assert_released(
+            &inline_record(&reg, None),
+            |r| {
+                r.request_cancel();
+            },
+            JobPhase::Cancelled,
+        );
+        // An invalid lane width passes no admission, but in-process it
+        // builds the model and then fails at solver construction.
+        assert_released(&inline_record(&reg, Some(96)), execute, JobPhase::Failed);
+        assert_released(
+            &inline_record(&reg, None),
+            |r| {
+                r.expire_if_unstarted("deadline passed while queued");
+            },
+            JobPhase::Expired,
+        );
     }
 
     type SeenTerminals = Arc<Mutex<Vec<(JobId, JobPhase, Option<String>)>>>;

@@ -15,7 +15,8 @@
 //!   (honored between batches), incumbent broadcast between units of the
 //!   same job, streamed incumbents to subscribers, and terminal
 //!   notifications for waiting clients; a job's terminal phase is the fold
-//!   of its unit outcomes.
+//!   of its unit outcomes. Jobs that repeat a generator spec share one
+//!   model from a process-wide model cache; a finished job holds none.
 //! * **Line protocol** ([`Request`]/[`Response`]) — newline-delimited JSON
 //!   over plain TCP: `submit`, `status`, `cancel`, `result`, `subscribe`,
 //!   `stats`, `ping`. See `docs/PROTOCOL.md` for the wire reference.
@@ -73,6 +74,6 @@ pub use server::{Server, ServerConfig, ServerState};
 pub use sink::LineSink;
 pub use spec::{
     now_unix_ms, ExecMode, JobSpec, ProblemSpec, MAX_BLOCKS, MAX_DEVICES, MAX_PROBLEM_N,
-    MAX_QAP_SIZE, MAX_UNITS_PER_JOB,
+    MAX_QAP_SIZE, MAX_UNITS_PER_JOB, MODEL_CACHE_BUDGET,
 };
 pub use wal::{ReplayedTerminal, Wal, WalRecord, WalReplay};

@@ -15,7 +15,7 @@
 //! `trace_event` spans for `dabs trace`.
 
 use dabs_core::{push_hist, MetricSet};
-use dabs_obs::{ChromeEvent, Counter, LogHistogram};
+use dabs_obs::{ChromeEvent, Counter, Gauge, LogHistogram};
 use serde::json::Json;
 use std::sync::OnceLock;
 
@@ -100,6 +100,47 @@ impl PoolObs {
 pub fn pool_obs() -> &'static PoolObs {
     static OBS: OnceLock<PoolObs> = OnceLock::new();
     OBS.get_or_init(PoolObs::new)
+}
+
+/// Model-layer counters of one model cache (see `ModelCache`): how often a
+/// job's model came from the cache, how often it had to be built, what the
+/// cache dropped, and what it holds.
+#[derive(Debug, Default)]
+pub(crate) struct ModelObs {
+    /// Generator specs served from the cache.
+    pub cache_hits: Counter,
+    /// Generator specs the cache did not hold, so they were built.
+    pub cache_misses: Counter,
+    /// Models dropped, least recently used first, to stay in budget.
+    pub cache_evictions: Counter,
+    /// Heap bytes of the models the cache holds now.
+    pub cache_bytes: Gauge,
+    /// Microseconds per model actually built: every cache miss and every
+    /// inline document (inline documents bypass the cache). A hit builds
+    /// nothing and records nothing.
+    pub build_us: LogHistogram,
+}
+
+impl ModelObs {
+    /// Export everything under `model.*` names.
+    pub(crate) fn metrics_into(&self, set: &mut MetricSet) {
+        use dabs_core::{Direction, Metric};
+        let up = Direction::HigherIsBetter;
+        for (name, c) in [
+            ("model.cache_hits", &self.cache_hits),
+            ("model.cache_misses", &self.cache_misses),
+            ("model.cache_evictions", &self.cache_evictions),
+        ] {
+            set.push(Metric::new(name, c.get() as f64, "count", up));
+        }
+        set.push(Metric::new(
+            "model.cache_bytes",
+            self.cache_bytes.get() as f64,
+            "bytes",
+            Direction::LowerIsBetter,
+        ));
+        push_hist(set, "model.build", "us", &self.build_us.snapshot());
+    }
 }
 
 /// Process-wide serving-layer counters: event-loop activity and the durable
@@ -487,5 +528,28 @@ mod tests {
         ] {
             assert!(set.get(name).is_some(), "missing {name}");
         }
+    }
+
+    #[test]
+    fn model_obs_exports_expected_metric_names() {
+        let obs = ModelObs::default();
+        obs.cache_misses.inc();
+        obs.cache_bytes.set(4096);
+        obs.build_us.record(250);
+        let mut set = MetricSet::new();
+        obs.metrics_into(&mut set);
+        for name in [
+            "model.cache_hits",
+            "model.cache_misses",
+            "model.cache_evictions",
+            "model.cache_bytes",
+            "model.build.count",
+            "model.build.p50",
+        ] {
+            assert!(set.get(name).is_some(), "missing {name}");
+        }
+        assert_eq!(set.get("model.cache_misses").unwrap().value, 1.0);
+        assert_eq!(set.get("model.cache_bytes").unwrap().value, 4096.0);
+        assert_eq!(set.get("model.build.count").unwrap().value, 1.0);
     }
 }

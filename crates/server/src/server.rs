@@ -233,7 +233,8 @@ impl ServerState {
     }
 
     /// Full observability snapshot: solver hot-loop counters, pool
-    /// scheduler counters and latency histograms, serving-layer and job-log
+    /// scheduler counters and latency histograms, model-cache counters and
+    /// build times, serving-layer and job-log
     /// counters, plus job-phase and occupancy gauges — one metric set,
     /// served by the `metrics` verb.
     pub fn metrics(&self) -> dabs_core::MetricSet {
@@ -241,6 +242,7 @@ impl ServerState {
         let mut set = dabs_core::MetricSet::new();
         dabs_core::solver_obs().metrics_into(&mut set);
         crate::obs::pool_obs().metrics_into(&mut set);
+        crate::spec::model_cache().obs().metrics_into(&mut set);
         net_obs().metrics_into(&mut set);
         let (queued, running, finished) = self.registry.phase_counts();
         let gauges = self.pool.gauges();

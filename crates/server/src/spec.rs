@@ -6,14 +6,19 @@
 //! instances are materialized from a spec, shared by the server workers, the
 //! CLI (which converts its flags into a `ProblemSpec`), and the offline
 //! reference runs in the integration tests — so "the job the server ran" and
-//! "the job the test reproduces" are the same model by construction.
+//! "the job the test reproduces" are the same model by construction. The
+//! server reaches it through [`ModelCache`], so jobs that repeat a generator
+//! spec share one model.
 
+use crate::obs::ModelObs;
 use dabs_core::{DabsConfig, DabsSolver, Termination};
 use dabs_model::{KernelChoice, QuboModel};
 use dabs_problems::{gset, qaplib, QaspInstance, Topology};
 use dabs_rng::{Rng64, Xorshift64Star};
 use serde::json::Json;
-use std::time::Duration;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Admission caps on untrusted job shape, enforced by [`JobSpec::validate`]
 /// — the server path only; the CLI builds specs from its own flags and may
@@ -240,6 +245,17 @@ impl ProblemSpec {
         Ok(())
     }
 
+    /// The key the model cache files this spec's model under, or `None`
+    /// for an inline document, which bypasses the cache.
+    fn model_key(&self) -> Option<ModelKey> {
+        (self.kind != "inline").then(|| ModelKey {
+            kind: self.kind.clone(),
+            n: self.n,
+            seed: self.seed,
+            kernel: self.kernel,
+        })
+    }
+
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("kind", Json::str(self.kind.clone())),
@@ -268,6 +284,155 @@ impl ProblemSpec {
             },
         })
     }
+}
+
+/// Byte budget of the server's process-wide model cache, which jobs with
+/// one generator spec share their model through. It holds the paper's
+/// K2000 at n=2000 (about 81 MB with its dense strips) three times over.
+pub const MODEL_CACHE_BUDGET: usize = 256 << 20;
+
+/// Everything [`ProblemSpec::build`] reads for a generator kind: two specs
+/// with one key build equal models on the same kernel.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ModelKey {
+    kind: String,
+    n: Option<usize>,
+    seed: u64,
+    kernel: KernelChoice,
+}
+
+/// A byte-bounded map from generator spec to its built model, least
+/// recently used out first, so jobs that repeat a spec share one model
+/// instead of each building its own.
+///
+/// Only generator specs are kept. Inline documents are built every time:
+/// served documents are unique, so keeping them would buy no hit. A model
+/// larger than the whole budget is served but not kept. Two jobs that miss
+/// on one key at the same moment may both build; the first to finish is
+/// kept and the other's build is dropped.
+#[derive(Debug)]
+pub(crate) struct ModelCache {
+    budget: usize,
+    state: Mutex<CacheState>,
+    obs: ModelObs,
+}
+
+#[derive(Debug, Default)]
+struct CacheState {
+    entries: HashMap<ModelKey, CacheEntry>,
+    /// Last-use stamp → key; the first entry is the least recently used.
+    by_use: BTreeMap<u64, ModelKey>,
+    clock: u64,
+    bytes: usize,
+}
+
+#[derive(Debug)]
+struct CacheEntry {
+    model: Arc<QuboModel>,
+    bytes: usize,
+    used: u64,
+}
+
+impl CacheState {
+    /// The kept model under `key`, now the most recently used.
+    fn touch(&mut self, key: &ModelKey) -> Option<Arc<QuboModel>> {
+        let entry = self.entries.get_mut(key)?;
+        self.clock += 1;
+        let last = std::mem::replace(&mut entry.used, self.clock);
+        let key = self.by_use.remove(&last).expect("every entry has a stamp");
+        self.by_use.insert(self.clock, key);
+        Some(Arc::clone(&entry.model))
+    }
+}
+
+impl ModelCache {
+    /// An empty cache that keeps at most `budget` bytes of models
+    /// ([`QuboModel::heap_bytes`]).
+    pub(crate) fn new(budget: usize) -> Self {
+        Self {
+            budget,
+            state: Mutex::new(CacheState::default()),
+            obs: ModelObs::default(),
+        }
+    }
+
+    /// The model for `spec`: the kept one when a job with the same generator
+    /// spec built it before, else built now and kept if it fits. Build
+    /// errors are returned, never kept.
+    pub(crate) fn get_or_build(&self, spec: &ProblemSpec) -> Result<Arc<QuboModel>, String> {
+        let Some(key) = spec.model_key() else {
+            return self.build(spec);
+        };
+        if let Some(model) = self.lock().touch(&key) {
+            self.obs.cache_hits.inc();
+            return Ok(model);
+        }
+        self.obs.cache_misses.inc();
+        let model = self.build(spec)?;
+        Ok(self.keep(key, model))
+    }
+
+    fn build(&self, spec: &ProblemSpec) -> Result<Arc<QuboModel>, String> {
+        let start = Instant::now();
+        let built = spec.build().map(|(model, _name)| Arc::new(model));
+        self.obs.build_us.record(start.elapsed().as_micros() as u64);
+        built
+    }
+
+    /// Keep `model` under `key`, evicting least recently used models until
+    /// it fits, and return the model the cache now holds for `key`.
+    fn keep(&self, key: ModelKey, model: Arc<QuboModel>) -> Arc<QuboModel> {
+        let bytes = model.heap_bytes();
+        if bytes > self.budget {
+            return model;
+        }
+        let mut evicted = Vec::new();
+        let mut st = self.lock();
+        if let Some(kept) = st.touch(&key) {
+            return kept; // a concurrent miss on the same key finished first
+        }
+        while st.bytes + bytes > self.budget {
+            let (_, old) = st
+                .by_use
+                .pop_first()
+                .expect("over budget implies a kept model");
+            let entry = st.entries.remove(&old).expect("every stamp has an entry");
+            st.bytes -= entry.bytes;
+            evicted.push(entry.model);
+            self.obs.cache_evictions.inc();
+        }
+        st.clock += 1;
+        let used = st.clock;
+        st.by_use.insert(used, key.clone());
+        let entry = CacheEntry {
+            model: Arc::clone(&model),
+            bytes,
+            used,
+        };
+        st.entries.insert(key, entry);
+        st.bytes += bytes;
+        self.obs.cache_bytes.set(st.bytes as i64);
+        drop(st);
+        drop(evicted); // freed outside the lock
+        model
+    }
+
+    /// This cache's hit, miss, eviction, size and build-time tallies.
+    pub(crate) fn obs(&self) -> &ModelObs {
+        &self.obs
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().expect("model cache lock")
+    }
+}
+
+/// The process-wide [`ModelCache`] every job's model comes from
+/// (`JobRecord::model`), sized by [`MODEL_CACHE_BUDGET`]. Its tallies are
+/// the `model.*` metrics.
+pub(crate) fn model_cache() -> &'static ModelCache {
+    static CACHE: OnceLock<ModelCache> = OnceLock::new();
+    CACHE.get_or_init(|| ModelCache::new(MODEL_CACHE_BUDGET))
 }
 
 /// How the job runs on its worker.
@@ -745,6 +910,119 @@ mod tests {
         }
         .build()
         .is_err());
+    }
+
+    fn dense_random(n: usize, seed: u64) -> ProblemSpec {
+        ProblemSpec {
+            kernel: KernelChoice::Dense,
+            ..ProblemSpec::random(n, seed)
+        }
+    }
+
+    fn built_bytes(spec: &ProblemSpec) -> usize {
+        spec.build().unwrap().0.heap_bytes()
+    }
+
+    fn held(cache: &ModelCache) -> usize {
+        cache.obs().cache_bytes.get() as usize
+    }
+
+    #[test]
+    fn kernel_override_is_part_of_the_model_key() {
+        use dabs_model::KernelKind;
+        let cache = ModelCache::new(MODEL_CACHE_BUDGET);
+        // Density 0.3 at n=48: `auto` selects dense.
+        let auto = ProblemSpec::random(48, 3);
+        let csr = ProblemSpec {
+            kernel: KernelChoice::Csr,
+            ..auto.clone()
+        };
+        let a = cache.get_or_build(&auto).unwrap();
+        let c = cache.get_or_build(&csr).unwrap();
+        assert!(!Arc::ptr_eq(&a, &c), "auto and csr must not share a model");
+        assert_eq!(a.kernel_kind(), KernelKind::Dense);
+        assert_eq!(c.kernel_kind(), KernelKind::Csr);
+        assert_eq!(*a, *c, "same weights on either kernel");
+        assert!(Arc::ptr_eq(&cache.get_or_build(&csr).unwrap(), &c));
+        let obs = cache.obs();
+        assert_eq!((obs.cache_misses.get(), obs.cache_hits.get()), (2, 1));
+        assert_eq!(held(&cache), a.heap_bytes() + c.heap_bytes());
+    }
+
+    #[test]
+    fn cache_evicts_least_recently_used_within_its_budget() {
+        let [a, b, c] = [11, 12, 13].map(|seed| dense_random(64, seed));
+        let [ab, bb, cb] = [&a, &b, &c].map(built_bytes);
+        // A and B fit; C fits only once one of them goes.
+        let budget = ab + bb + cb / 2;
+        assert!(ab + cb <= budget && bb + cb <= budget);
+        let cache = ModelCache::new(budget);
+        let kept_a = cache.get_or_build(&a).unwrap();
+        cache.get_or_build(&b).unwrap();
+        assert_eq!(held(&cache), ab + bb);
+        // Touch A, so B is the least recently used when C arrives.
+        assert!(Arc::ptr_eq(&cache.get_or_build(&a).unwrap(), &kept_a));
+        cache.get_or_build(&c).unwrap();
+        let obs = cache.obs();
+        assert_eq!(obs.cache_evictions.get(), 1);
+        assert_eq!(held(&cache), ab + cb);
+        assert!(held(&cache) <= budget);
+        // A and C are still kept; B was the one evicted.
+        let misses = obs.cache_misses.get();
+        assert!(Arc::ptr_eq(&cache.get_or_build(&a).unwrap(), &kept_a));
+        cache.get_or_build(&c).unwrap();
+        assert_eq!(obs.cache_misses.get(), misses);
+        cache.get_or_build(&b).unwrap();
+        assert_eq!(obs.cache_misses.get(), misses + 1, "B must be rebuilt");
+        assert!(held(&cache) <= budget);
+    }
+
+    #[test]
+    fn a_model_larger_than_the_budget_is_served_but_not_kept() {
+        let big = dense_random(64, 21);
+        let cache = ModelCache::new(built_bytes(&big) - 1);
+        let first = cache.get_or_build(&big).unwrap();
+        assert_eq!(first.n(), 64);
+        assert_eq!(held(&cache), 0);
+        let second = cache.get_or_build(&big).unwrap();
+        assert!(!Arc::ptr_eq(&first, &second));
+        let obs = cache.obs();
+        assert_eq!((obs.cache_misses.get(), obs.cache_hits.get()), (2, 0));
+        assert_eq!(obs.cache_evictions.get(), 0);
+    }
+
+    #[test]
+    fn inline_documents_bypass_the_cache() {
+        let mut b = dabs_model::QuboBuilder::new(4);
+        b.add_linear(0, -3).add_quadratic(1, 2, 5);
+        let spec = ProblemSpec::inline_text(dabs_model::io::write_qubo(&b.build().unwrap()));
+        assert_eq!(spec.model_key(), None);
+        let cache = ModelCache::new(MODEL_CACHE_BUDGET);
+        let first = cache.get_or_build(&spec).unwrap();
+        let second = cache.get_or_build(&spec).unwrap();
+        assert_eq!(*first, *second);
+        assert!(
+            !Arc::ptr_eq(&first, &second),
+            "every inline job builds its own"
+        );
+        let obs = cache.obs();
+        assert_eq!(obs.cache_hits.get(), 0);
+        assert_eq!(obs.cache_misses.get(), 0);
+        assert_eq!(held(&cache), 0);
+        assert_eq!(obs.build_us.count(), 2, "each inline build is timed");
+    }
+
+    #[test]
+    fn build_errors_are_returned_and_never_kept() {
+        let cache = ModelCache::new(MODEL_CACHE_BUDGET);
+        let bad = ProblemSpec {
+            kind: "nope".into(),
+            ..ProblemSpec::random(8, 1)
+        };
+        assert!(cache.get_or_build(&bad).is_err());
+        assert!(cache.get_or_build(&bad).is_err());
+        assert_eq!(cache.obs().cache_misses.get(), 2);
+        assert_eq!(held(&cache), 0);
     }
 
     #[test]

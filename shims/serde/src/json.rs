@@ -450,16 +450,19 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-sync to char boundaries for multi-byte UTF-8.
-                    self.pos -= 1;
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty by construction");
-                    if c == '"' || c == '\\' {
-                        continue; // handled on next iteration
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes up to the next quote
+                    // or backslash at once: both are ASCII, so they never
+                    // split a multi-byte character, and each byte of the
+                    // input is checked once — decode stays linear.
+                    let start = self.pos - 1;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |k| start + k);
+                    let plain = std::str::from_utf8(&self.bytes[start..run])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(plain);
+                    self.pos = run;
                 }
             }
         }
@@ -555,6 +558,39 @@ mod tests {
         assert_eq!(
             Json::parse("\"\\u0041\\u00e9\\ud83d\\ude00\"").unwrap(),
             Json::str("Aé😀")
+        );
+    }
+
+    #[test]
+    fn multibyte_text_mixed_with_every_escape_round_trips() {
+        let s = "µ\"é\\漢/字\n😀\t\r\u{0008}\u{000C}\u{0001}ok\u{1F}Ω";
+        let v = Json::str(s);
+        assert_eq!(round_trip(&v), v);
+        // Every escape the decoder knows, each between multibyte runs.
+        let wire = "\"é\\\"ü\\\\漢\\/字\\bα\\fβ\\nγ\\rδ\\tε\\u00e9ζ\\ud83d\\ude00η\"";
+        assert_eq!(
+            Json::parse(wire).unwrap(),
+            Json::str("é\"ü\\漢/字\u{0008}α\u{000C}β\nγ\rδ\tεéζ😀η")
+        );
+    }
+
+    #[test]
+    fn a_mebibyte_string_decodes_in_linear_time() {
+        // Decode must stay linear in the line's length: a per-character
+        // pass over the rest of the input turns this string into minutes
+        // of work on the one event-loop thread.
+        let mut s = String::with_capacity(1 << 20);
+        while s.len() < 1 << 20 {
+            s.push_str("0 1 -7\n1 2 µ\"9\"\t");
+        }
+        let line = Json::obj([("inline", Json::str(s.clone()))]).to_string();
+        let start = std::time::Instant::now();
+        let v = Json::parse(&line).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v.get_str("inline"), Some(s.as_str()));
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "1 MiB string took {took:?} to decode"
         );
     }
 

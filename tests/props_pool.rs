@@ -9,9 +9,13 @@
 //!   budget between units, it never mints or burns any).
 //! * **Sequential equivalence** — a one-worker pool executes a decomposed
 //!   job as the same unit sequence the standalone `execute()` fold runs, so
-//!   their merged results are identical field-for-field.
+//!   their merged results are identical field-for-field. Both take their
+//!   model from the process-wide model cache; a model from a warm cache
+//!   runs the same flips as a cold build.
 
-use dabs::server::{execute, ElasticPool, JobRegistry, JobSpec, ProblemSpec};
+use dabs::core::SolveResult;
+use dabs::model::KernelChoice;
+use dabs::server::{execute, ElasticPool, JobRecord, JobRegistry, JobSpec, ProblemSpec};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -139,4 +143,78 @@ proptest! {
         prop_assert_eq!(result.restarts, ref_result.restarts);
         prop_assert_eq!(result.reached_target, ref_result.reached_target);
     }
+}
+
+fn solved(record: &Arc<JobRecord>) -> SolveResult {
+    let (phase, result, error) = record.snapshot();
+    assert_eq!(phase.name(), "done", "{error:?}");
+    result.expect("a done job has a result")
+}
+
+fn assert_same_run(a: &SolveResult, b: &SolveResult, what: &str) {
+    assert_eq!(a.energy, b.energy, "{what}: energy");
+    assert_eq!(a.best, b.best, "{what}: best");
+    assert_eq!(a.flips, b.flips, "{what}: flips");
+    assert_eq!(a.batches, b.batches, "{what}: batches");
+    assert_eq!(a.reached_target, b.reached_target, "{what}: target");
+}
+
+/// The benchmark's five time-to-target instances (generator seed 1, with
+/// their stored targets): a job served from a warm model cache runs the
+/// same flips as one on a cold build, and a one-worker pool still equals
+/// `execute()` when every model comes from the cache.
+#[test]
+fn warm_cache_runs_equal_cold_builds_on_the_paper_instances() {
+    let shapes = [
+        ("k2000", 224, -1405),
+        ("g22", 200, -191),
+        ("g39", 300, -120),
+        ("tai", 9, -651745),
+        ("qasp", 480, -23234),
+    ];
+    let pool = ElasticPool::spawn(1, 64);
+    let registry = JobRegistry::new();
+    for (kind, n, target) in shapes {
+        let problem = ProblemSpec {
+            kind: kind.into(),
+            n: Some(n),
+            seed: 1,
+            inline: None,
+            kernel: KernelChoice::Auto,
+        };
+        let job = |units| JobSpec {
+            problem: problem.clone(),
+            seed: 3,
+            target: Some(target),
+            max_batches: Some(40),
+            units,
+            ..JobSpec::default()
+        };
+        // Cold: a fresh build the cache never saw, solved offline.
+        let spec = job(None);
+        let (fresh, _) = problem.build().unwrap();
+        let cold = spec
+            .build_solver()
+            .unwrap()
+            .run_sequential(&fresh, spec.termination());
+        // The first job may build; the second is served from the cache.
+        for round in ["first", "warm"] {
+            let record = registry.register(job(None));
+            execute(&record);
+            assert_same_run(&solved(&record), &cold, &format!("{kind} {round}"));
+        }
+        // Two units on a one-worker pool ≡ the same fold under execute().
+        let reference = registry.register(job(Some(2)));
+        execute(&reference);
+        let pooled = registry.register(job(Some(2)));
+        pool.submit(&pooled).unwrap();
+        assert!(pooled.wait_terminal(Duration::from_secs(120)));
+        assert_same_run(
+            &solved(&pooled),
+            &solved(&reference),
+            &format!("{kind} pool"),
+        );
+    }
+    pool.close();
+    pool.join();
 }
