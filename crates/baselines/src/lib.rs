@@ -14,6 +14,8 @@
 //! [`dabs_model::IsingModel`] types as DABS, so every Table II–IV row runs
 //! on identical instances.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod annealer;
 pub mod bnb;
 pub mod exact;

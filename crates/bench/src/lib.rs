@@ -11,6 +11,12 @@
 //! aligned table printing, and the repeated-run TTS protocol of §VI
 //! ([`harness`]).
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
+// The table binaries in `src/bin/` run the baseline solvers; the library
+// itself names none of them.
+use dabs_baselines as _;
+
 pub mod args;
 pub mod baseline;
 pub mod harness;

@@ -2,10 +2,9 @@
 
 use crate::genetic::{GeneticOp, OpProbabilities};
 use dabs_search::{MainAlgorithm, SearchParams};
-use serde::{Deserialize, Serialize};
 
 /// Full configuration of a DABS run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DabsConfig {
     /// Number of virtual devices = number of solution pools (paper: 8).
     pub devices: usize,

@@ -2,13 +2,12 @@
 
 use dabs_model::Solution;
 use dabs_rng::Rng64;
-use serde::{Deserialize, Serialize};
 
 /// A genetic operation. The first eight are the paper's DABS portfolio (in
 /// the order of Tables V/VI); [`GeneticOp::CrossMutate`] is the single fixed
 /// operation of the earlier ABS solver (crossover followed by mutation),
 /// used only by the ABS baseline preset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GeneticOp {
     /// Fresh uniform-random vector; ignores the pool.
     Random,
@@ -43,7 +42,7 @@ impl GeneticOp {
         GeneticOp::IntervalZero,
     ];
 
-    /// Stable index (doubles as the packet tag).
+    /// Stable index into the Table V frequency counters.
     pub fn index(self) -> usize {
         match self {
             GeneticOp::Random => 0,
@@ -56,22 +55,6 @@ impl GeneticOp {
             GeneticOp::IntervalZero => 7,
             GeneticOp::CrossMutate => 8,
         }
-    }
-
-    /// Recover an operation from a packet tag.
-    pub fn from_index(idx: u8) -> Option<GeneticOp> {
-        Some(match idx {
-            0 => GeneticOp::Random,
-            1 => GeneticOp::Best,
-            2 => GeneticOp::Mutation,
-            3 => GeneticOp::Crossover,
-            4 => GeneticOp::Xrossover,
-            5 => GeneticOp::Zero,
-            6 => GeneticOp::One,
-            7 => GeneticOp::IntervalZero,
-            8 => GeneticOp::CrossMutate,
-            _ => return None,
-        })
     }
 
     /// Name as printed in the paper's tables.
@@ -104,7 +87,7 @@ impl GeneticOp {
 }
 
 /// Per-bit probabilities used by the probabilistic operations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpProbabilities {
     /// Mutation flip probability (paper: 1/8).
     pub mutation: f64,
@@ -214,11 +197,13 @@ mod tests {
     }
 
     #[test]
-    fn indices_round_trip() {
+    fn indices_are_dense_and_distinct() {
+        let mut seen = [false; crate::stats::N_OPS];
         for op in GeneticOp::DABS.into_iter().chain([GeneticOp::CrossMutate]) {
-            assert_eq!(GeneticOp::from_index(op.index() as u8), Some(op));
+            assert!(!seen[op.index()], "{} reuses an index", op.name());
+            seen[op.index()] = true;
         }
-        assert_eq!(GeneticOp::from_index(99), None);
+        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Diverse Adaptive Bulk Search — the paper's primary contribution.
 //!
-//! DABS drives the bulk-search substrate (`dabs-gpu-sim`) with a genetic
-//! algorithm that is *diverse* along three axes and *adaptive* along two:
+//! DABS drives bulk search (the batch searches of `dabs-search`, run by
+//! simulated devices) with a genetic algorithm that is *diverse* along three
+//! axes and *adaptive* along two:
 //!
 //! 1. **Multiple search algorithms** — every batch runs one of the five main
 //!    algorithms of `dabs-search`; which one is chosen adaptively.
@@ -18,9 +19,10 @@
 //! occupy more rows and get selected more often — no explicit scoring model.
 //!
 //! [`DabsSolver`] has one engine: a sequential unit that round-robins over
-//! every pool and its inline device. [`DabsSolver::run_sequential`] steps
-//! one unit and is bit-for-bit deterministic; [`DabsSolver::run`] steps
-//! `blocks_per_device` units on scoped threads and folds their outcomes.
+//! every pool and its inline device, the paper's GPU called directly on the
+//! unit's thread. [`DabsSolver::run_sequential`] steps one unit and is
+//! bit-for-bit deterministic; [`DabsSolver::run`] steps `blocks_per_device`
+//! units on scoped threads and folds their outcomes.
 //! The authors' earlier fixed-strategy ABS solver is available as the
 //! [`DabsConfig::abs_baseline`] preset.
 //!
@@ -44,8 +46,11 @@
 //! assert!(result.best.get(0) && !result.best.get(1));
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 mod adaptive;
 mod config;
+mod device;
 mod genetic;
 pub mod obs;
 mod pool;
@@ -55,14 +60,11 @@ pub mod wire;
 
 pub use adaptive::{generate_target, select_algorithm, select_operation};
 pub use config::DabsConfig;
-// Re-exported so external-cancellation callers (the server job runtime, the
-// CLI) need only `dabs-core`.
-pub use dabs_gpu_sim::StopFlag;
 pub use genetic::GeneticOp;
 pub use obs::{push_hist, solver_obs, ObsAccumulator, SolverObs};
 pub use pool::{PoolEntry, SolutionPool};
 pub use solver::{
-    DabsSolver, Incumbent, IncumbentObserver, SolveResult, Termination, UnitOutcome, UnitRun,
-    WarmStart,
+    DabsSolver, Incumbent, IncumbentObserver, SolveResult, StopFlag, Termination, UnitOutcome,
+    UnitRun, WarmStart,
 };
-pub use stats::{Direction, FrequencyReport, FrequencyTracker, Metric, MetricSet};
+pub use stats::{Direction, FrequencyReport, Metric, MetricSet};

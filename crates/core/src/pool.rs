@@ -10,10 +10,9 @@ use crate::GeneticOp;
 use dabs_model::Solution;
 use dabs_rng::Rng64;
 use dabs_search::MainAlgorithm;
-use serde::{Deserialize, Serialize};
 
 /// One pool row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolEntry {
     pub solution: Solution,
     /// `i64::MAX` encodes the paper's "+∞" placeholder energy of the
@@ -100,12 +99,12 @@ impl SolutionPool {
         self.entries.last()
     }
 
-    /// Packets accepted so far.
+    /// Results accepted so far.
     pub fn inserted(&self) -> u64 {
         self.inserted
     }
 
-    /// Packets rejected so far (worse than the worst row, or duplicates).
+    /// Results rejected so far (worse than the worst row, or duplicates).
     pub fn rejected(&self) -> u64 {
         self.rejected
     }

@@ -17,18 +17,42 @@
 //! * the server's elastic pool — a job's units scheduled on shared workers.
 
 use crate::adaptive::{generate_target, select_algorithm, select_operation};
-use crate::{DabsConfig, FrequencyReport, FrequencyTracker, GeneticOp, PoolEntry, SolutionPool};
-use dabs_gpu_sim::{InlineDevice, Packet, StopFlag};
+use crate::device::InlineDevice;
+use crate::{DabsConfig, FrequencyReport, GeneticOp, PoolEntry, SolutionPool};
 use dabs_model::{BatchKernel, CsrKernel, DenseKernel, KernelKind, QuboModel, Solution};
 use dabs_rng::{Rng64, SplitMix64, Xorshift64Star};
 use dabs_search::MainAlgorithm;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Salt of the per-unit seed stream (see [`DabsSolver::for_unit`]).
 const UNIT_SEED_SALT: u64 = 0x756e_6974_5f73_6565;
+
+/// Cooperative cancellation flag: set by one thread (a job runtime, a
+/// signal handler, …) and checked by a run before every batch.
+#[derive(Debug, Default)]
+pub struct StopFlag {
+    flag: AtomicBool,
+}
+
+impl StopFlag {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Request termination.
+    #[inline]
+    pub fn stop(&self) {
+        self.flag.store(true, Ordering::Release);
+    }
+
+    /// Has termination been requested?
+    #[inline]
+    pub fn is_stopped(&self) -> bool {
+        self.flag.load(Ordering::Acquire)
+    }
+}
 
 /// When to stop a run. Conditions combine with OR; at least one must be set.
 #[derive(Debug, Clone, Default)]
@@ -146,7 +170,7 @@ pub struct Incumbent {
 pub type IncumbentObserver = Arc<dyn Fn(&Incumbent) + Send + Sync>;
 
 /// Outcome of a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolveResult {
     /// Best solution found.
     pub best: Solution,
@@ -492,13 +516,14 @@ struct SeqEngine<'m, K: BatchKernel> {
     pools: Vec<SolutionPool>,
     host_rngs: Vec<Xorshift64Star>,
     devices: Vec<InlineDevice<'m, K>>,
-    tracker: FrequencyTracker,
+    frequencies: FrequencyReport,
     obs: crate::obs::ObsAccumulator,
     best_solution: Option<Solution>,
     best_energy: i64,
     found_at: Duration,
     finder: Option<(MainAlgorithm, GeneticOp)>,
     batches: u64,
+    flips: u64,
     restarts: u32,
     start: Instant,
     next_device: usize,
@@ -529,7 +554,7 @@ impl<'m, K: BatchKernel> SeqEngine<'m, K> {
             host_rngs.push(rng);
         }
         let mut devices: Vec<InlineDevice<'m, K>> = (0..cfg.devices)
-            .map(|_| InlineDevice::with_kernel(model, kernel, cfg.params, seeder.next_u64()))
+            .map(|_| InlineDevice::new(model, kernel, cfg.params, seeder.next_u64()))
             .collect();
 
         let mut best_solution: Option<Solution> = None;
@@ -558,13 +583,14 @@ impl<'m, K: BatchKernel> SeqEngine<'m, K> {
             pools,
             host_rngs,
             devices,
-            tracker: FrequencyTracker::new(),
+            frequencies: FrequencyReport::new(),
             obs: crate::obs::ObsAccumulator::new(),
             best_solution,
             best_energy,
             found_at: Duration::ZERO,
             finder: None,
             batches: 0,
+            flips: 0,
             restarts: 0,
             start,
             next_device: 0,
@@ -614,47 +640,43 @@ impl<'m, K: BatchKernel> SeqEngine<'m, K> {
         let cfg = &self.cfg;
         let n = self.n;
         // adaptive choice + target generation on pool d
-        let (packet, algo, op) = {
+        let (target, algo, op) = {
             let pool = &self.pools[d];
             let neighbor_idx = (d + 1) % cfg.devices;
             let neighbor = (cfg.devices > 1).then(|| &self.pools[neighbor_idx]);
             let rng = &mut self.host_rngs[d];
             let algo = select_algorithm(pool, cfg, rng);
             let op = select_operation(pool, cfg, rng);
-            let target = generate_target(op, pool, neighbor, n, cfg, rng);
-            (Packet::request(target, algo, op.index() as u8), algo, op)
+            (generate_target(op, pool, neighbor, n, cfg, rng), algo, op)
         };
-        self.tracker.record_dispatch(algo, op);
-        // Deltas around the batch (three relaxed loads) feed the sampled
+        self.frequencies.record_dispatch(algo, op);
+        // The re-reduction delta around the batch feeds the sampled
         // observability tally; the flip loop itself is untouched.
-        let flips_before = self.devices[d].stats().flips();
         let reds_before = self.devices[d].seg_reductions();
-        let result = self.devices[d].process(packet);
-        let flips_delta = self.devices[d].stats().flips() - flips_before;
+        let (solution, energy, flips) = self.devices[d].batch(&target, algo);
         let reds_delta = self.devices[d].seg_reductions() - reds_before;
         self.batches += 1;
-        let energy = result.energy.expect("device results carry energy");
+        self.flips += flips;
         let improved = energy < self.best_energy;
-        self.obs
-            .on_batch(algo.index(), flips_delta, reds_delta, improved);
+        self.obs.on_batch(algo.index(), flips, reds_delta, improved);
         if self.cfg.params.batch_lanes >= 64 {
-            self.obs.on_bulk(flips_delta);
+            self.obs.on_bulk(flips);
         }
-        if energy < self.best_energy {
+        if improved {
             self.best_energy = energy;
-            self.best_solution = Some(result.solution.clone());
+            self.best_solution = Some(solution.clone());
             self.found_at = self.start.elapsed();
             self.finder = Some((algo, op));
             if let Some(obs) = &self.observer {
                 obs(&Incumbent {
-                    solution: result.solution.clone(),
+                    solution: solution.clone(),
                     energy,
                     found_at: self.found_at,
                 });
             }
         }
         self.pools[d].insert(PoolEntry {
-            solution: result.solution,
+            solution,
             energy,
             algorithm: algo,
             operation: op,
@@ -673,7 +695,6 @@ impl<'m, K: BatchKernel> SeqEngine<'m, K> {
     }
 
     fn finish(self) -> UnitOutcome {
-        let flips: u64 = self.devices.iter().map(|dv| dv.stats().flips()).sum();
         let reached = self
             .termination
             .target_energy
@@ -693,9 +714,9 @@ impl<'m, K: BatchKernel> SeqEngine<'m, K> {
                 time_to_best: self.found_at,
                 elapsed: self.start.elapsed(),
                 batches: self.batches,
-                flips,
+                flips: self.flips,
                 reached_target: reached,
-                frequencies: self.tracker.report(),
+                frequencies: self.frequencies,
                 first_finder: self.finder,
                 restarts: self.restarts,
             },
@@ -980,6 +1001,16 @@ mod tests {
         .unwrap();
         let r = solver.run_sequential(&q, Termination::batches(400));
         assert!(r.restarts > 0, "expected at least one pool restart");
+    }
+
+    #[test]
+    fn stop_flag_transitions_once() {
+        let f = StopFlag::new();
+        assert!(!f.is_stopped());
+        f.stop();
+        assert!(f.is_stopped());
+        f.stop(); // idempotent
+        assert!(f.is_stopped());
     }
 
     #[test]
@@ -1340,7 +1371,7 @@ mod tests {
                 batches: 0,
                 flips: 0,
                 reached_target: false,
-                frequencies: FrequencyTracker::new().report(),
+                frequencies: FrequencyReport::new(),
                 first_finder: None,
                 restarts: 0,
             },

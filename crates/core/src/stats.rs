@@ -10,51 +10,14 @@
 use crate::GeneticOp;
 use dabs_search::MainAlgorithm;
 use serde::json::Json;
-use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of algorithm slots (5 main algorithms).
 pub const N_ALGOS: usize = 5;
 /// Number of operation slots (8 DABS ops + CrossMutate).
 pub const N_OPS: usize = 9;
 
-/// Execution counters of one run.
-#[derive(Debug, Default)]
-pub struct FrequencyTracker {
-    algo_executed: [AtomicU64; N_ALGOS],
-    op_executed: [AtomicU64; N_OPS],
-}
-
-impl FrequencyTracker {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record that a packet with this pair was dispatched.
-    pub fn record_dispatch(&self, algo: MainAlgorithm, op: GeneticOp) {
-        self.algo_executed[algo.index()].fetch_add(1, Ordering::Relaxed);
-        self.op_executed[op.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot into a serialisable report.
-    pub fn report(&self) -> FrequencyReport {
-        FrequencyReport {
-            algo_executed: self
-                .algo_executed
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
-            op_executed: self
-                .op_executed
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-}
-
-/// Snapshot of execution frequencies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Execution frequencies of one run (or of several, merged).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrequencyReport {
     /// Dispatch counts indexed by [`MainAlgorithm::index`].
     pub algo_executed: Vec<u64>,
@@ -62,8 +25,28 @@ pub struct FrequencyReport {
     pub op_executed: Vec<u64>,
 }
 
+impl Default for FrequencyReport {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FrequencyReport {
-    /// Total packets dispatched.
+    /// All counts zero.
+    pub fn new() -> Self {
+        Self {
+            algo_executed: vec![0; N_ALGOS],
+            op_executed: vec![0; N_OPS],
+        }
+    }
+
+    /// Count one dispatched batch with this pair.
+    pub fn record_dispatch(&mut self, algo: MainAlgorithm, op: GeneticOp) {
+        self.algo_executed[algo.index()] += 1;
+        self.op_executed[op.index()] += 1;
+    }
+
+    /// Total batches dispatched.
     pub fn total(&self) -> u64 {
         self.algo_executed.iter().sum()
     }
@@ -84,22 +67,6 @@ impl FrequencyReport {
             return 0.0;
         }
         100.0 * self.op_executed[op.index()] as f64 / total as f64
-    }
-
-    /// The most-executed algorithm (Table V boldface).
-    pub fn top_algorithm(&self) -> MainAlgorithm {
-        *MainAlgorithm::ALL
-            .iter()
-            .max_by_key(|a| self.algo_executed[a.index()])
-            .expect("non-empty")
-    }
-
-    /// The most-executed operation among the DABS eight.
-    pub fn top_operation(&self) -> GeneticOp {
-        *GeneticOp::DABS
-            .iter()
-            .max_by_key(|o| self.op_executed[o.index()])
-            .expect("non-empty")
     }
 
     /// Merge counts from another report (used to aggregate repeated runs).
@@ -321,47 +288,42 @@ mod tests {
 
     #[test]
     fn dispatch_counts_accumulate() {
-        let t = FrequencyTracker::new();
-        t.record_dispatch(MainAlgorithm::MaxMin, GeneticOp::Zero);
-        t.record_dispatch(MainAlgorithm::MaxMin, GeneticOp::One);
-        t.record_dispatch(MainAlgorithm::CyclicMin, GeneticOp::Zero);
-        let r = t.report();
+        let mut r = FrequencyReport::new();
+        r.record_dispatch(MainAlgorithm::MaxMin, GeneticOp::Zero);
+        r.record_dispatch(MainAlgorithm::MaxMin, GeneticOp::One);
+        r.record_dispatch(MainAlgorithm::CyclicMin, GeneticOp::Zero);
         assert_eq!(r.total(), 3);
         assert_eq!(r.algo_executed[MainAlgorithm::MaxMin.index()], 2);
         assert_eq!(r.op_executed[GeneticOp::Zero.index()], 2);
-        assert_eq!(r.top_algorithm(), MainAlgorithm::MaxMin);
-        assert_eq!(r.top_operation(), GeneticOp::Zero);
     }
 
     #[test]
     fn percentages_sum_to_100() {
-        let t = FrequencyTracker::new();
+        let mut r = FrequencyReport::new();
         for (i, a) in MainAlgorithm::ALL.into_iter().enumerate() {
             for _ in 0..=i {
-                t.record_dispatch(a, GeneticOp::Random);
+                r.record_dispatch(a, GeneticOp::Random);
             }
         }
-        let r = t.report();
         let sum: f64 = MainAlgorithm::ALL.iter().map(|&a| r.algo_percent(a)).sum();
         assert!((sum - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_report_percentages_are_zero() {
-        let r = FrequencyTracker::new().report();
+        let r = FrequencyReport::new();
         assert_eq!(r.algo_percent(MainAlgorithm::MaxMin), 0.0);
         assert_eq!(r.op_percent(GeneticOp::Best), 0.0);
     }
 
     #[test]
     fn merge_adds_counts() {
-        let t1 = FrequencyTracker::new();
-        t1.record_dispatch(MainAlgorithm::RandomMin, GeneticOp::Crossover);
-        let t2 = FrequencyTracker::new();
-        t2.record_dispatch(MainAlgorithm::RandomMin, GeneticOp::Crossover);
-        t2.record_dispatch(MainAlgorithm::MaxMin, GeneticOp::Best);
-        let mut r = t1.report();
-        r.merge(&t2.report());
+        let mut r = FrequencyReport::new();
+        r.record_dispatch(MainAlgorithm::RandomMin, GeneticOp::Crossover);
+        let mut r2 = FrequencyReport::new();
+        r2.record_dispatch(MainAlgorithm::RandomMin, GeneticOp::Crossover);
+        r2.record_dispatch(MainAlgorithm::MaxMin, GeneticOp::Best);
+        r.merge(&r2);
         assert_eq!(r.total(), 3);
         assert_eq!(r.algo_executed[MainAlgorithm::RandomMin.index()], 2);
     }
@@ -428,24 +390,5 @@ mod tests {
                 "{bad}"
             );
         }
-    }
-
-    #[test]
-    fn concurrent_recording_is_lossless() {
-        let t = std::sync::Arc::new(FrequencyTracker::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let t = std::sync::Arc::clone(&t);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        t.record_dispatch(MainAlgorithm::PositiveMin, GeneticOp::Mutation);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(t.report().total(), 4000);
     }
 }

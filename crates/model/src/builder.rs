@@ -69,30 +69,6 @@ impl QuboBuilder {
         self
     }
 
-    /// Add a one-hot penalty over the variable set `group`: contributes `0`
-    /// when exactly one variable is 1 and `≥ p` otherwise (for p > 0).
-    ///
-    /// Uses the standard expansion `p·(Σ x − 1)² = p·(Σ_i x_i − 2 Σ_{i<j} … )`
-    /// minus the constant `p` (constants are dropped; callers track offsets).
-    /// Concretely: `−p` on each diagonal and `+2p` on each pair, matching the
-    /// paper's QAP penalty rows/columns (`−p` if `i=i', j=j'`; `+p` per
-    /// conflicting pair counted once each direction = `2p` per unordered
-    /// pair).
-    pub fn add_one_hot_penalty(&mut self, group: &[usize], p: i64) -> &mut Self {
-        for (a, &i) in group.iter().enumerate() {
-            self.add_linear(i, -p);
-            for &j in &group[a + 1..] {
-                self.add_quadratic(i, j, 2 * p);
-            }
-        }
-        self
-    }
-
-    /// Number of quadratic terms added so far (before merging duplicates).
-    pub fn pending_terms(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Assemble the final model, merging duplicate pairs.
     pub fn build(self) -> Result<QuboModel, ModelError> {
         QuboModel::new_with_kernel(self.n, &self.edges, self.diag, self.kernel)
@@ -138,39 +114,8 @@ mod tests {
     }
 
     #[test]
-    fn one_hot_penalty_is_zero_only_when_one_hot() {
-        let mut b = QuboBuilder::new(4);
-        b.add_one_hot_penalty(&[0, 1, 2, 3], 10);
-        let q = b.build().unwrap();
-        // Energy = p((Σx)² − 2Σx) = p(Σx − 1)² − p; with constant −p dropped,
-        // one-hot assignments give −p and everything else gives more.
-        let one_hot = q.energy(&Solution::from_bitstring("0100"));
-        assert_eq!(one_hot, -10);
-        assert_eq!(q.energy(&Solution::from_bitstring("0000")), 0);
-        assert_eq!(q.energy(&Solution::from_bitstring("1100")), 0);
-        assert_eq!(q.energy(&Solution::from_bitstring("1110")), 30);
-        // one-hot strictly best
-        for v in 0..16u32 {
-            let bits: Vec<bool> = (0..4).map(|i| (v >> i) & 1 == 1).collect();
-            let e = q.energy(&Solution::from_bits(&bits));
-            if bits.iter().filter(|&&b| b).count() == 1 {
-                assert_eq!(e, -10);
-            } else {
-                assert!(e > -10);
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_linear() {
         QuboBuilder::new(2).add_linear(5, 1);
-    }
-
-    #[test]
-    fn pending_terms_counts() {
-        let mut b = QuboBuilder::new(3);
-        b.add_quadratic(0, 1, 1).add_quadratic(0, 2, 1);
-        assert_eq!(b.pending_terms(), 2);
     }
 }

@@ -7,10 +7,9 @@
 //! `W` lives in global memory and each thread reads its own row.
 
 use crate::ModelError;
-use serde::{Deserialize, Serialize};
 
 /// Symmetric sparse matrix with mirrored adjacency.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymmetricCsr {
     n: usize,
     /// Row start offsets; `offsets[n]` is the total mirrored entry count.

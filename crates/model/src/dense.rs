@@ -18,10 +18,9 @@
 //! final partial strip.
 
 use crate::SymmetricCsr;
-use serde::{Deserialize, Serialize};
 
 /// Row-major dense `W` with rows padded to 64-column strips.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseStrips {
     n: usize,
     /// Columns per row after padding: `n.div_ceil(64) * 64`.

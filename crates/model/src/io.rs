@@ -3,9 +3,7 @@
 //! A minimal interchange format compatible in spirit with the de-facto
 //! `.qubo` conventions (qbsolv): comment lines start with `c`, a problem
 //! line `p qubo 0 <n> <diag_count> <elem_count>` announces sizes, then one
-//! line per non-zero term `i j w` (diagonal terms have `i == j`). Ising
-//! models use `p ising <n> <bias_count> <coupling_count>` with the same
-//! term syntax.
+//! line per non-zero term `i j w` (diagonal terms have `i == j`).
 //!
 //! ```
 //! use dabs_model::{QuboBuilder, io};
@@ -18,7 +16,7 @@
 //! assert_eq!(q, back);
 //! ```
 
-use crate::{IsingModel, QuboModel};
+use crate::QuboModel;
 use std::fmt::Write as _;
 
 /// Parse failure description.
@@ -59,7 +57,7 @@ pub fn write_qubo(model: &QuboModel) -> String {
 /// Parse a QUBO model written by [`write_qubo`] (or hand-authored in the
 /// same format).
 pub fn parse_qubo(text: &str) -> Result<QuboModel, ParseError> {
-    let (n, terms) = parse_body(text, "qubo")?;
+    let (n, terms) = parse_body(text)?;
     let mut diag = vec![0i64; n];
     let mut edges = Vec::new();
     for (line, (i, j, w)) in terms {
@@ -76,49 +74,6 @@ pub fn parse_qubo(text: &str) -> Result<QuboModel, ParseError> {
         }
     }
     QuboModel::new(n, &edges, diag).map_err(|e| ParseError {
-        line: 0,
-        message: e.to_string(),
-    })
-}
-
-/// Serialise an Ising model.
-pub fn write_ising(model: &IsingModel) -> String {
-    let n = model.n();
-    let bias_count = (0..n).filter(|&i| model.bias(i) != 0).count();
-    let mut out = String::new();
-    let _ = writeln!(out, "c dabs-rs Ising instance");
-    let _ = writeln!(out, "p ising {n} {bias_count} {}", model.edge_count());
-    for i in 0..n {
-        let h = model.bias(i);
-        if h != 0 {
-            let _ = writeln!(out, "{i} {i} {h}");
-        }
-    }
-    for (i, j, jij) in model.couplings().iter_edges() {
-        let _ = writeln!(out, "{i} {j} {jij}");
-    }
-    out
-}
-
-/// Parse an Ising model written by [`write_ising`].
-pub fn parse_ising(text: &str) -> Result<IsingModel, ParseError> {
-    let (n, terms) = parse_body(text, "ising")?;
-    let mut biases = vec![0i64; n];
-    let mut edges = Vec::new();
-    for (line, (i, j, w)) in terms {
-        if i >= n || j >= n {
-            return Err(ParseError {
-                line,
-                message: format!("index out of range: {i} {j} (n = {n})"),
-            });
-        }
-        if i == j {
-            biases[i] += w;
-        } else {
-            edges.push((i, j, w));
-        }
-    }
-    IsingModel::new(n, &edges, biases).map_err(|e| ParseError {
         line: 0,
         message: e.to_string(),
     })
@@ -154,12 +109,10 @@ pub fn declared_n(text: &str) -> Option<usize> {
     declared
 }
 
-/// Shared scanner: returns `n` and the `(line_no, (i, j, w))` term list.
+/// The scanner behind [`parse_qubo`]: returns `n` and the
+/// `(line_no, (i, j, w))` term list.
 #[allow(clippy::type_complexity)]
-fn parse_body(
-    text: &str,
-    kind: &str,
-) -> Result<(usize, Vec<(usize, (usize, usize, i64))>), ParseError> {
+fn parse_body(text: &str) -> Result<(usize, Vec<(usize, (usize, usize, i64))>), ParseError> {
     let mut n: Option<usize> = None;
     let mut terms = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -170,16 +123,15 @@ fn parse_body(
         }
         if let Some(rest) = line.strip_prefix('p') {
             let fields: Vec<&str> = rest.split_whitespace().collect();
-            if fields.is_empty() || fields[0] != kind {
+            if fields.first() != Some(&"qubo") {
                 return Err(ParseError {
                     line: line_no,
-                    message: format!("expected 'p {kind} …' problem line, got {line:?}"),
+                    message: format!("expected 'p qubo …' problem line, got {line:?}"),
                 });
             }
-            // qubo: p qubo 0 n dc ec ; ising: p ising n bc cc
-            let n_pos = if kind == "qubo" { 2 } else { 1 };
+            // p qubo 0 n dc ec
             let parsed = fields
-                .get(n_pos)
+                .get(2)
                 .and_then(|f| f.parse::<usize>().ok())
                 .ok_or_else(|| ParseError {
                     line: line_no,
@@ -276,14 +228,6 @@ mod tests {
             let x = Solution::random(30, &mut rng);
             assert_eq!(q.energy(&x), back.energy(&x));
         }
-    }
-
-    #[test]
-    fn ising_roundtrip_exact() {
-        let q = random_model(20, 404);
-        let (ising, _) = q.to_ising();
-        let back = parse_ising(&write_ising(&ising)).unwrap();
-        assert_eq!(ising, back);
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! bit 1 → spin +1), so [`Solution`] doubles as a spin vector.
 
 use crate::{sigma, ModelError, QuboModel, Solution, SymmetricCsr};
-use serde::{Deserialize, Serialize};
 
 /// An Ising model over ±1 spins.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IsingModel {
     couplings: SymmetricCsr,
     biases: Vec<i64>,

@@ -24,7 +24,6 @@
 
 use crate::segments::SegmentAggregates;
 use crate::{DenseStrips, QuboModel, Solution, SymmetricCsr};
-use serde::{Deserialize, Serialize};
 
 /// Auto-selection density threshold: models with
 /// `nnz / (n(n−1)/2) ≥ threshold` get the dense kernel.
@@ -35,7 +34,7 @@ pub const DENSE_DENSITY_THRESHOLD: f64 = 0.25;
 pub const DENSE_AUTO_MAX_N: usize = 4096;
 
 /// Caller-facing backend selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelChoice {
     /// Pick by density at model build ([`DENSE_DENSITY_THRESHOLD`]).
     #[default]
@@ -69,7 +68,7 @@ impl KernelChoice {
 }
 
 /// The backend a model actually selected (no `Auto` left at this point).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     Csr,
     Dense,

@@ -32,6 +32,8 @@
 //! Weights and energies are `i64` throughout: every benchmark in the paper is
 //! integral, and integer energies make optimality assertions exact.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod batch_kernel;
 mod builder;
 mod csr;

@@ -4,7 +4,6 @@ use crate::{
     DenseStrips, IsingModel, KernelChoice, KernelKind, ModelError, Solution, SymmetricCsr,
     DENSE_AUTO_MAX_N, DENSE_DENSITY_THRESHOLD,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// A Quadratic Unconstrained Binary Optimization model.
@@ -16,7 +15,7 @@ use std::sync::OnceLock;
 /// materialize a [`DenseStrips`] matrix so the flip hot loop runs over
 /// contiguous rows. The diagonal (linear) weights `W_ii` are a dense vector,
 /// since most reductions assign a weight to every node.
-#[derive(Debug, Clone, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Eq)]
 pub struct QuboModel {
     adj: SymmetricCsr,
     diag: Vec<i64>,

@@ -7,11 +7,10 @@
 //! operations run at 64 bits per instruction.
 
 use dabs_rng::Rng64;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fixed-length binary vector `x_0 x_1 … x_{n-1}`.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Solution {
     n: usize,
     words: Vec<u64>,
@@ -179,11 +178,6 @@ impl Solution {
         })
     }
 
-    /// Expand to a `Vec<bool>`.
-    pub fn to_bits(&self) -> Vec<bool> {
-        (0..self.n).map(|i| self.get(i)).collect()
-    }
-
     /// Uniform crossover: each bit taken from `self` or `other` according to
     /// a fresh random bit (the paper's Crossover / Xrossover primitive).
     pub fn crossover<R: Rng64 + ?Sized>(&self, other: &Self, rng: &mut R) -> Self {
@@ -275,7 +269,7 @@ mod tests {
     #[test]
     fn from_bitstring_parses() {
         let s = Solution::from_bitstring("10110");
-        assert_eq!(s.to_bits(), vec![true, false, true, true, false]);
+        assert_eq!(s, Solution::from_bits(&[true, false, true, true, false]));
         assert_eq!(s.count_ones(), 3);
     }
 

@@ -123,13 +123,6 @@ pub fn write_trace(events: &[ChromeEvent]) -> String {
     out
 }
 
-/// Convert a batch of ring events and render the trace document in one
-/// step.
-pub fn export_events(events: &[TraceEvent]) -> String {
-    let chrome: Vec<ChromeEvent> = events.iter().map(ChromeEvent::from).collect();
-    write_trace(&chrome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,7 +268,8 @@ mod tests {
         let t = crate::Tracer::with_capacity(8);
         t.instant("admitted", "job", 0, 9);
         let snap = t.snapshot();
-        let doc = export_events(&snap.events);
+        let chrome: Vec<ChromeEvent> = snap.events.iter().map(ChromeEvent::from).collect();
+        let doc = write_trace(&chrome);
         assert!(doc.contains("\"name\":\"admitted\""));
         assert!(doc.contains("\"id\":9"));
     }

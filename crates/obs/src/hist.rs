@@ -230,11 +230,6 @@ impl HistSnapshot {
     pub fn buckets(&self) -> &[u64] {
         &self.counts
     }
-
-    /// Value range `[lo, hi)` covered by bucket `idx`.
-    pub fn bucket_bounds(idx: usize) -> (u64, u64) {
-        bounds(idx)
-    }
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@
 //! in `dabs-core` (this crate cannot see `Metric` without creating a
 //! dependency cycle once model/search are instrumented).
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod chrome_export;
 mod counter;
 mod hist;

@@ -14,8 +14,9 @@
 //! The published instance files (Gset, QAPLIB, the D-Wave Advantage working
 //! graph) are external data we do not ship; seeded generators with matching
 //! size, density and weight structure stand in for them (see DESIGN.md's
-//! substitution table). [`tsp`] adds the paper's §II-B remark that TSP
-//! reduces to QAP.
+//! substitution table).
+
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod gset;
 pub mod maxcut;
@@ -23,11 +24,9 @@ pub mod qap;
 pub mod qaplib;
 pub mod qasp;
 pub mod topology;
-pub mod tsp;
 
 pub use gset::{g22_like, g39_like, k2000_like, GsetClass};
 pub use maxcut::MaxCutProblem;
 pub use qap::QapInstance;
 pub use qasp::QaspInstance;
 pub use topology::Topology;
-pub use tsp::TspInstance;

@@ -7,10 +7,9 @@
 //! QUBO maximises the cut.
 
 use dabs_model::{ModelError, QuboBuilder, QuboModel, Solution};
-use serde::{Deserialize, Serialize};
 
 /// A MaxCut problem instance: a weighted undirected graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaxCutProblem {
     n: usize,
     edges: Vec<(usize, usize, i64)>,

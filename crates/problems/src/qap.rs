@@ -15,10 +15,9 @@
 //! so `E(X) = C(g_X) − n·p` for every feasible `X`.
 
 use dabs_model::{QuboBuilder, QuboModel, Solution};
-use serde::{Deserialize, Serialize};
 
 /// A QAP instance: flow and distance matrices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QapInstance {
     n: usize,
     /// Row-major `n×n` flows; `flow[i*n + i']` is `l(i, i')`.

@@ -11,10 +11,9 @@
 use crate::topology::Topology;
 use dabs_model::{IsingModel, QuboModel, Solution};
 use dabs_rng::{Rng64, SplitMix64, Xorshift64Star};
-use serde::{Deserialize, Serialize};
 
 /// A generated QASP instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QaspInstance {
     /// The underlying random Ising model.
     ising: IsingModel,

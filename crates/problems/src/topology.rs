@@ -19,10 +19,9 @@
 //! coordinate algebra, so the twin preserves the relevant behaviour.
 
 use dabs_rng::{shuffle, Rng64, SplitMix64, Xorshift64Star};
-use serde::{Deserialize, Serialize};
 
 /// An undirected simple graph listing each edge once.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     n: usize,
     edges: Vec<(usize, usize)>,

@@ -1,27 +1,24 @@
 //! Deterministic pseudo-random number generation for the DABS solver.
 //!
 //! The paper's GPU implementation seeds every CUDA thread with a 64-bit seed
-//! produced by a host-side Mersenne twister, and each device thread then runs
-//! Xorshift for cheap per-flip randomness. This crate reproduces that split:
+//! produced on the host, and each device thread then runs Xorshift for cheap
+//! per-flip randomness. This crate reproduces that split:
 //!
-//! * [`Mt19937_64`] — the 64-bit Mersenne twister (Matsumoto & Nishimura),
-//!   used on the host to derive seeds for pools, devices and blocks.
+//! * [`SplitMix64`] — the seeding generator: it derives the seeds of pools,
+//!   devices and units from one `u64` run seed.
 //! * [`Xorshift64Star`] — Marsaglia's xorshift with the `*` output scrambler,
 //!   the per-"thread" generator used inside search kernels.
-//! * [`SplitMix64`] — a tiny seeding generator used to expand a single `u64`
-//!   seed into well-distributed initial state.
 //!
-//! All generators implement the object-safe [`Rng64`] trait, so search code
-//! can be written once and tested against any generator (including the
-//! [`CountingRng`] / [`FixedSequence`] test doubles).
+//! Both implement the object-safe [`Rng64`] trait, so search code can be
+//! written once against any generator.
 
-mod mt;
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 mod splitmix;
 mod xorshift;
 
-pub use mt::Mt19937_64;
 pub use splitmix::SplitMix64;
-pub use xorshift::{Xorshift64Star, Xoshiro256StarStar};
+pub use xorshift::Xorshift64Star;
 
 /// A 64-bit pseudo-random generator.
 ///
@@ -109,39 +106,6 @@ pub fn random_permutation<R: Rng64 + ?Sized>(n: usize, rng: &mut R) -> Vec<usize
     perm
 }
 
-/// Test double: yields a fixed sequence, then panics when exhausted.
-#[derive(Debug, Clone)]
-pub struct FixedSequence {
-    values: Vec<u64>,
-    pos: usize,
-}
-
-impl FixedSequence {
-    pub fn new(values: Vec<u64>) -> Self {
-        Self { values, pos: 0 }
-    }
-}
-
-impl Rng64 for FixedSequence {
-    fn next_u64(&mut self) -> u64 {
-        let v = self.values[self.pos % self.values.len()];
-        self.pos += 1;
-        v
-    }
-}
-
-/// Test double: yields 0, 1, 2, ... wrapping; useful for deterministic walks.
-#[derive(Debug, Clone, Default)]
-pub struct CountingRng(pub u64);
-
-impl Rng64 for CountingRng {
-    fn next_u64(&mut self) -> u64 {
-        let v = self.0;
-        self.0 = self.0.wrapping_add(1);
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,7 +164,7 @@ mod tests {
 
     #[test]
     fn random_permutation_has_all_elements() {
-        let mut rng = Mt19937_64::new(2023);
+        let mut rng = Xorshift64Star::new(2023);
         let p = random_permutation(64, &mut rng);
         let mut sorted = p.clone();
         sorted.sort_unstable();
@@ -214,20 +178,5 @@ mod tests {
             assert!(!rng.next_bool(0.0));
             assert!(rng.next_bool(1.1)); // clamp semantics: p >= 1 always true
         }
-    }
-
-    #[test]
-    fn counting_rng_counts() {
-        let mut rng = CountingRng(10);
-        assert_eq!(rng.next_u64(), 10);
-        assert_eq!(rng.next_u64(), 11);
-    }
-
-    #[test]
-    fn fixed_sequence_cycles() {
-        let mut rng = FixedSequence::new(vec![1, 2]);
-        assert_eq!(rng.next_u64(), 1);
-        assert_eq!(rng.next_u64(), 2);
-        assert_eq!(rng.next_u64(), 1);
     }
 }

@@ -1,12 +1,10 @@
-//! Xorshift-family generators used as the per-"device thread" stream.
+//! The xorshift generator used as the per-"device thread" stream.
 //!
-//! The paper's GPU kernels run Marsaglia xorshift seeded from host-side
-//! Mersenne-twister output because each flip may need several random numbers
-//! and the generator must be registers-only. [`Xorshift64Star`] is the
-//! 64-bit xorshift with the multiplicative output scrambler (Vigna's
-//! `xorshift64*`), which fixes the weak low bits of plain xorshift.
-//! [`Xoshiro256StarStar`] is provided for longer streams where many
-//! generators run in parallel from nearby seeds.
+//! The paper's GPU kernels run Marsaglia xorshift because each flip may
+//! need several random numbers and the generator must be registers-only.
+//! [`Xorshift64Star`] is the 64-bit xorshift with the multiplicative output
+//! scrambler (Vigna's `xorshift64*`), which fixes the weak low bits of plain
+//! xorshift.
 
 use crate::{Rng64, SplitMix64};
 
@@ -38,60 +36,6 @@ impl Rng64 for Xorshift64Star {
         x ^= x >> 27;
         self.state = x;
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-/// `xoshiro256**`: 256-bit state, period 2^256 - 1, with `jump()` for
-/// generating 2^128-decorrelated parallel streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Xoshiro256StarStar {
-    s: [u64; 4],
-}
-
-impl Xoshiro256StarStar {
-    pub fn new(seed: u64) -> Self {
-        let mut sm = SplitMix64::new(seed);
-        Self {
-            s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
-        }
-    }
-
-    /// Advance the state by 2^128 steps; used to split one seed into many
-    /// non-overlapping parallel streams.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180EC6D33CFD0ABA,
-            0xD5A61266F0C9392C,
-            0xA9582618E03FC9AA,
-            0x39ABDC4529B1661C,
-        ];
-        let mut t = [0u64; 4];
-        for &j in &JUMP {
-            for b in 0..64 {
-                if (j >> b) & 1 == 1 {
-                    for (ti, si) in t.iter_mut().zip(self.s.iter()) {
-                        *ti ^= si;
-                    }
-                }
-                self.next_u64();
-            }
-        }
-        self.s = t;
-    }
-}
-
-impl Rng64 for Xoshiro256StarStar {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
     }
 }
 
@@ -127,15 +71,6 @@ mod tests {
         x ^= x << 25;
         x ^= x >> 27;
         assert_eq!(rng.next_u64(), x.wrapping_mul(0x2545_F491_4F6C_DD1D));
-    }
-
-    #[test]
-    fn xoshiro_jump_decorrelates() {
-        let mut a = Xoshiro256StarStar::new(1);
-        let mut b = a;
-        b.jump();
-        let collisions = (0..1000).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(collisions, 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The batch search (paper §III-B).
 //!
-//! A CUDA block (here: a worker in `dabs-gpu-sim`) keeps a resident
+//! A CUDA block (here: an inline device in `dabs-core`) keeps a resident
 //! [`IncrementalState`] across batches. One batch, given a target vector `D`
 //! and a main algorithm `M`:
 //!
@@ -58,24 +58,8 @@ impl BatchSearch {
         algorithm: MainAlgorithm,
         rng: &mut R,
     ) -> BatchOutcome {
-        let budget = self.params.batch_flips(state.n());
-        self.run_with_budget(state, target, algorithm, rng, budget)
-    }
-
-    /// Run one batch with an externally-supplied flip `budget` instead of
-    /// the configured one. This is the resumable-unit entry point: a
-    /// scheduler slicing a job's flip budget across stealable units hands
-    /// each unit its slice here, so a unit's cost is bounded by its slice,
-    /// not by whatever `SearchParams` the job was built with.
-    pub fn run_with_budget<K: QuboKernel, R: Rng64 + ?Sized>(
-        &mut self,
-        state: &mut IncrementalState<'_, K>,
-        target: &Solution,
-        algorithm: MainAlgorithm,
-        rng: &mut R,
-        budget: u64,
-    ) -> BatchOutcome {
         let n = state.n();
+        let budget = self.params.batch_flips(n);
         let leg = self.params.search_flips(n);
         self.tabu.clear();
 
@@ -218,46 +202,6 @@ mod tests {
         batch.run(&mut st, &t2, MainAlgorithm::CyclicMin, &mut rng);
         assert!(st.flips() > after_first, "state must accumulate flips");
         st.assert_consistent();
-    }
-
-    #[test]
-    fn explicit_budget_equals_configured_budget_and_scales_down() {
-        let q = random_model(50, 0.25, 103);
-        // Several main-algorithm legs per batch, so budget actually gates.
-        let params = SearchParams {
-            search_flip_factor: 0.3,
-            batch_flip_factor: 4.0,
-            ..SearchParams::default()
-        };
-        let configured = params.batch_flips(50);
-        // Same budget through either entry point → identical batch.
-        let run = |budget: Option<u64>| {
-            let mut st = IncrementalState::new(&q);
-            let mut rng = Xorshift64Star::new(104);
-            let target = Solution::random(50, &mut rng);
-            let mut batch = BatchSearch::new(50, params);
-            match budget {
-                None => batch.run(&mut st, &target, MainAlgorithm::MaxMin, &mut rng),
-                Some(b) => {
-                    batch.run_with_budget(&mut st, &target, MainAlgorithm::MaxMin, &mut rng, b)
-                }
-            }
-        };
-        let a = run(None);
-        let b = run(Some(configured));
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.energy, b.energy);
-        assert_eq!(a.flips, b.flips);
-        assert_eq!(a.main_legs, b.main_legs);
-        // A smaller slice does proportionally less work.
-        let small = run(Some(configured / 4));
-        assert!(
-            small.flips < a.flips,
-            "sliced batch ran {} flips vs full {}",
-            small.flips,
-            a.flips
-        );
-        assert_eq!(q.energy(&small.best), small.energy);
     }
 
     #[test]

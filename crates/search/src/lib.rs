@@ -57,6 +57,8 @@
 //! assert_eq!(out.energy, -9); // x = 1011: −5 − 4
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 mod batch;
 pub mod bulk;
 mod cyclicmin;
@@ -82,10 +84,9 @@ pub use twoneighbor::two_neighbor;
 
 use dabs_model::{BestTracker, IncrementalState, QuboKernel};
 use dabs_rng::Rng64;
-use serde::{Deserialize, Serialize};
 
 /// The five main search algorithms a batch can be asked to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MainAlgorithm {
     MaxMin,
     CyclicMin,
@@ -148,7 +149,7 @@ impl MainAlgorithm {
 }
 
 /// Flip-budget parameters of the batch search (paper §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchParams {
     /// Search flip factor `s`: each main-algorithm leg performs `⌈s·n⌉` flips.
     pub search_flip_factor: f64,

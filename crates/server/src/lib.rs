@@ -40,6 +40,8 @@
 //! server.shutdown();
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 mod admission;
 mod chaos;
 mod client;

@@ -1,23 +1,9 @@
-//! Offline stand-in for [`serde`](https://crates.io/crates/serde).
+//! Offline stand-in for the JSON half of serde.
 //!
-//! The build environment has no registry access. The shim has two layers:
-//!
-//! * The `Serialize`/`Deserialize` trait names plus no-op derive macros, so
-//!   types annotated for the real serde compile unchanged. When a crates.io
-//!   backend lands, point the `serde` workspace dependency back at the
-//!   registry and the annotations light up.
-//! * [`json`] — a real (small) JSON value model with a writer and parser,
-//!   standing in for `serde_json`. The wire types in `dabs-server` and the
-//!   CLI's `--json` output implement explicit `to_json`/`from_json`
-//!   conversions against it.
+//! The build environment has no registry access, so [`json`] — a small
+//! JSON value model with a writer and parser — stands in for `serde_json`.
+//! The wire types in `dabs-server`, the solver results in `dabs-core` and
+//! the benchmark reports in `dabs-bench` implement explicit
+//! `to_json`/`from_json` conversions against it.
 
 pub mod json;
-
-/// Marker stand-in for `serde::Serialize`.
-pub trait Serialize {}
-
-/// Marker stand-in for `serde::Deserialize`.
-pub trait Deserialize<'de>: Sized {}
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};

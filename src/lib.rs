@@ -1,7 +1,8 @@
 //! Umbrella crate: re-exports the full DABS public API.
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub use dabs_baselines as baselines;
 pub use dabs_core as core;
-pub use dabs_gpu_sim as gpu_sim;
 pub use dabs_model as model;
 pub use dabs_obs as obs;
 pub use dabs_problems as problems;

@@ -2,13 +2,14 @@
 //! survive an encode → parse round trip exactly, for arbitrary job specs
 //! and terminal outcomes — the replay path trusts this bijection.
 
+use dabs::model::KernelChoice;
 use dabs::server::{ExecMode, JobPhase, JobSpec, ProblemSpec, Wal, WalRecord};
 use proptest::prelude::*;
 
-/// Derive a full [`JobSpec`] from three unconstrained words: every bit of
-/// the spec — kind, sizes, mode, optional fields, tenant, idempotency key
-/// — is a deterministic function of the draw, covering the whole shape
-/// space without a combinatorial strategy tuple.
+/// Derive a full [`JobSpec`] from three unconstrained words: every field
+/// of the spec — kind, sizes, kernel, inline text, mode, budgets, lanes,
+/// tenant, idempotency key — is a deterministic function of the draw,
+/// covering the whole shape space without a combinatorial strategy tuple.
 fn spec_from_words(a: u64, b: u64, c: u64) -> JobSpec {
     let kinds = ["random", "k2000", "g22", "tai"];
     let opt = |bit: u64, v: u64| if bit & 1 == 1 { Some(v) } else { None };
@@ -17,7 +18,10 @@ fn spec_from_words(a: u64, b: u64, c: u64) -> JobSpec {
             kind: kinds[(a % 4) as usize].to_string(),
             n: opt(a >> 2, 4 + (a >> 3) % 512).map(|v| v as usize),
             seed: b,
-            ..ProblemSpec::random(8, 1)
+            inline: opt(a >> 33, 0)
+                .map(|_| format!("c \"quoted\" {b}\np qubo 0 2 1 1\n0 0 -{}\n0 1 3\n", c % 9)),
+            kernel: [KernelChoice::Auto, KernelChoice::Csr, KernelChoice::Dense]
+                [(a >> 34) as usize % 3],
         },
         devices: 1 + (a >> 13) as usize % 8,
         blocks: 1 + (a >> 17) as usize % 4,
@@ -29,12 +33,12 @@ fn spec_from_words(a: u64, b: u64, c: u64) -> JobSpec {
             ExecMode::Sequential
         },
         target: opt(a >> 22, b % 2_000_000).map(|v| v as i64 - 1_000_000),
-        time_ms: None,
+        time_ms: opt(a >> 36, 1 + c % 600_000),
         max_batches: opt(a >> 23, 1 + b % 100_000),
         priority: (a >> 24) as i32 % 10 - 5,
         deadline_unix_ms: opt(a >> 29, 1 + c % (u64::MAX / 2)),
         units: opt(a >> 30, 1 + c % 63).map(|v| v as u32),
-        lanes: None,
+        lanes: opt(a >> 37, [0, 64, 128, 192, 256][(a >> 38) as usize % 5]).map(|v| v as u32),
         tenant: opt(a >> 31, 0).map(|_| format!("tenant-{}", b % 97)),
         idempotency_key: opt(a >> 32, 0).map(|_| format!("key-{:x}-{:x}", b, c % 1_000)),
     }
@@ -61,22 +65,8 @@ proptest! {
         match back {
             WalRecord::Admit { job: j, spec: s } => {
                 prop_assert_eq!(j, job);
-                // Every replay-relevant field survives.
-                prop_assert_eq!(&s.problem.kind, &spec.problem.kind);
-                prop_assert_eq!(s.problem.n, spec.problem.n);
-                prop_assert_eq!(s.problem.seed, spec.problem.seed);
-                prop_assert_eq!(s.devices, spec.devices);
-                prop_assert_eq!(s.blocks, spec.blocks);
-                prop_assert_eq!(s.seed, spec.seed);
-                prop_assert_eq!(s.abs, spec.abs);
-                prop_assert_eq!(s.mode, spec.mode);
-                prop_assert_eq!(s.target, spec.target);
-                prop_assert_eq!(s.max_batches, spec.max_batches);
-                prop_assert_eq!(s.priority, spec.priority);
-                prop_assert_eq!(s.deadline_unix_ms, spec.deadline_unix_ms);
-                prop_assert_eq!(s.units, spec.units);
-                prop_assert_eq!(&s.tenant, &spec.tenant);
-                prop_assert_eq!(&s.idempotency_key, &spec.idempotency_key);
+                // The whole spec survives, field for field.
+                prop_assert_eq!(&s, &spec);
             }
             other => prop_assert!(false, "wrong variant back: {:?}", other),
         }
