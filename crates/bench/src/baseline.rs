@@ -120,13 +120,15 @@ pub fn compare(
     }
     if baseline.host != candidate.host {
         eprintln!(
-            "note: comparing across hosts ({}/{} {}cpu vs {}/{} {}cpu) — wall-clock metrics carry wide tolerances for this reason",
+            "note: comparing across hosts ({}/{} {}cpu simd {} vs {}/{} {}cpu simd {}) — wall-clock metrics carry wide tolerances for this reason",
             baseline.host.os,
             baseline.host.arch,
             baseline.host.cpus,
+            baseline.host.simd,
             candidate.host.os,
             candidate.host.arch,
-            candidate.host.cpus
+            candidate.host.cpus,
+            candidate.host.simd
         );
     }
 

@@ -24,6 +24,10 @@ pub struct HostInfo {
     pub os: String,
     pub arch: String,
     pub cpus: usize,
+    /// Instruction-set tier the flip path ran on (`dabs_model::simd_tier`):
+    /// `avx512`, `avx2` or `portable`, and `unknown` in reports written
+    /// before the field existed.
+    pub simd: String,
 }
 
 impl HostInfo {
@@ -32,6 +36,7 @@ impl HostInfo {
             os: std::env::consts::OS.to_string(),
             arch: std::env::consts::ARCH.to_string(),
             cpus: detect_cpus(),
+            simd: dabs_model::simd_tier().to_string(),
         }
     }
 
@@ -40,6 +45,7 @@ impl HostInfo {
             ("os", Json::str(self.os.clone())),
             ("arch", Json::str(self.arch.clone())),
             ("cpus", Json::from(self.cpus)),
+            ("simd", Json::str(self.simd.clone())),
         ])
     }
 
@@ -51,6 +57,7 @@ impl HostInfo {
                 .ok_or("host missing \"arch\"")?
                 .to_string(),
             cpus: j.get_u64("cpus").ok_or("host missing \"cpus\"")? as usize,
+            simd: j.get_str("simd").unwrap_or("unknown").to_string(),
         })
     }
 }
@@ -377,6 +384,22 @@ mod tests {
         let r = sample();
         let text = r.to_json_string();
         let back = SuiteReport::from_json_str(&text).expect("parse");
+        assert_eq!(back, r);
+    }
+
+    #[test]
+    fn host_simd_tier_round_trips_and_defaults_when_absent() {
+        let mut r = sample();
+        r.host.simd = "avx2".into();
+        let text = r.to_json_string();
+        assert!(text.contains("\"simd\":\"avx2\""), "{text}");
+        assert_eq!(SuiteReport::from_json_str(&text).expect("parse"), r);
+
+        let old = text.replace(",\"simd\":\"avx2\"", "");
+        assert!(!old.contains("simd"), "{old}");
+        let back = SuiteReport::from_json_str(&old).expect("pre-simd report parses");
+        assert_eq!(back.host.simd, "unknown");
+        r.host.simd = "unknown".into();
         assert_eq!(back, r);
     }
 

@@ -435,6 +435,7 @@ pub fn info(opts: &Options) -> Result<(), String> {
         model.density(),
         model.kernel_kind().name()
     );
+    println!("simd:            {}", dabs_model::simd_tier());
     println!("max |weight|:    {}", model.max_abs_weight());
     println!("trivial bound:   E ≥ {}", model.lower_bound());
     let degrees: Vec<usize> = (0..model.n())

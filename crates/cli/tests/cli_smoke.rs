@@ -78,6 +78,14 @@ fn info_reports_instance_shape_without_solving() {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
     assert!(text.contains("32"), "instance size missing in:\n{text}");
+    let simd = text
+        .lines()
+        .find_map(|l| l.strip_prefix("simd:"))
+        .map(str::trim);
+    assert!(
+        matches!(simd, Some("avx512" | "avx2" | "portable")),
+        "simd tier line in:\n{text}"
+    );
 }
 
 #[test]

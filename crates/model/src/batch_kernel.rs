@@ -111,16 +111,12 @@ fn accumulate_lane_word(dst: &mut [i64; 64], w: i64, sgn: u64, bits: &[u8]) {
 mod simd {
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
-    use std::sync::OnceLock;
 
-    /// Runtime CPU check, resolved once: F for masked 64-bit add/compare,
-    /// DQ for the `vpmovm2q` mask-to-vector expansion.
+    /// Runtime CPU check, from the crate's shared tier detection: F for
+    /// masked 64-bit add/compare, DQ for the `vpmovm2q` mask-to-vector
+    /// expansion.
     pub(super) fn available() -> bool {
-        static AVAIL: OnceLock<bool> = OnceLock::new();
-        *AVAIL.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512dq")
-        })
+        crate::isa::Tier::detected().is_avx512()
     }
 
     /// AVX-512 body of [`super::apply_row`]: per neighbour `j` and lane

@@ -22,6 +22,7 @@
 //! (`tests/props_model.rs`, `tests/solver_parity.rs`) holds them to
 //! bit-identical trajectories.
 
+use crate::isa::{self, Tier};
 use crate::segments::SegmentAggregates;
 use crate::{DenseStrips, QuboModel, Solution, SymmetricCsr};
 
@@ -125,8 +126,9 @@ pub trait QuboKernel: Copy {
     /// * dense keeps this default (update, then mark all): every lane
     ///   changes anyway, and the first selection query re-reduces the
     ///   whole array in one branchless pass — fusing the reduction into
-    ///   the strip update was measured ~30 % slower per flip and taxed
-    ///   selection-free consumers (see the note on the dense impl);
+    ///   the strip update was measured ~30 % slower per flip (with
+    ///   baseline codegen) and taxed selection-free consumers (see the
+    ///   note on the dense impl);
     /// * the default is correct for any backend.
     ///
     /// Like `apply_flip`, this must not touch `delta[i]` — the caller
@@ -287,6 +289,34 @@ impl<'m> DenseKernel<'m> {
     }
 }
 
+/// The dense strip update: `delta[j] += ±row[j]` for every `j < delta.len()`,
+/// negated where bit `j` of `words ^ flip_mask` is set. One portable body
+/// that [`isa::dense_update`] compiles once per instruction-set tier.
+#[inline(always)]
+pub(crate) fn dense_update_body(row: &[i64], words: &[u64], flip_mask: u64, delta: &mut [i64]) {
+    let n = delta.len();
+    let full = n >> 6;
+    for (wi, &word) in words.iter().enumerate().take(full) {
+        let m = word ^ flip_mask;
+        let base = wi << 6;
+        let strip = &row[base..base + 64];
+        let dst = &mut delta[base..base + 64];
+        for b in 0..64 {
+            let neg = (((m >> b) & 1) as i64).wrapping_neg();
+            dst[b] += sign_select(strip[b], neg);
+        }
+    }
+    let rem = n & 63;
+    if rem != 0 {
+        let m = words[full] ^ flip_mask;
+        let base = full << 6;
+        for b in 0..rem {
+            let neg = (((m >> b) & 1) as i64).wrapping_neg();
+            delta[base + b] += sign_select(row[base + b], neg);
+        }
+    }
+}
+
 /// Branchless conditional negate: `w` when mask bit is 0, `−w` when 1.
 #[inline(always)]
 pub(crate) fn sign_select(w: i64, neg: i64) -> i64 {
@@ -355,32 +385,17 @@ impl QuboKernel for DenseKernel<'_> {
     #[inline]
     fn apply_flip(&self, x: &Solution, i: usize, delta: &mut [i64]) {
         let n = self.dense.n();
-        let row = self.dense.row(i);
-        let words = x.words();
         // σ(x_i)σ(x_j) = +1 iff x_i == x_j, so the lanes to negate are
         // `word ^ broadcast(x_i)`. The diagonal lane is stored as zero, so
         // `j == i` safely contributes nothing.
         let flip_mask = if x.get(i) { !0u64 } else { 0u64 };
-        let full = n >> 6;
-        for (wi, &word) in words.iter().enumerate().take(full) {
-            let m = word ^ flip_mask;
-            let base = wi << 6;
-            let strip = &row[base..base + 64];
-            let dst = &mut delta[base..base + 64];
-            for b in 0..64 {
-                let neg = (((m >> b) & 1) as i64).wrapping_neg();
-                dst[b] += sign_select(strip[b], neg);
-            }
-        }
-        let rem = n & 63;
-        if rem != 0 {
-            let m = words[full] ^ flip_mask;
-            let base = full << 6;
-            for b in 0..rem {
-                let neg = (((m >> b) & 1) as i64).wrapping_neg();
-                delta[base + b] += sign_select(row[base + b], neg);
-            }
-        }
+        isa::dense_update(
+            Tier::detected(),
+            self.dense.row(i),
+            x.words(),
+            flip_mask,
+            &mut delta[..n],
+        );
     }
 
     // `apply_flip_seg` deliberately stays on the default
@@ -389,10 +404,12 @@ impl QuboKernel for DenseKernel<'_> {
     // flip — the extra compares break the tight sign-select/add pipeline —
     // which taxed every dense flip (including selection-free consumers
     // like SA and the kernel throughput sweep) and tripped the
-    // `kernel_sweep` dense ≥ 2× CSR contract. Marking everything and
-    // letting the first selection query run one branchless `O(n)` refresh
-    // keeps the flip at full speed and still replaces the strategies' two
-    // branchy scans with aggregate reductions.
+    // `kernel_sweep` dense ≥ 2× CSR contract. That was measured with
+    // baseline (SSE2) codegen, before the update and the refresh got their
+    // AVX2/AVX-512 clones; it has not been re-measured since. Marking
+    // everything and letting the first selection query run one branchless
+    // `O(n)` refresh keeps the flip at full speed and still replaces the
+    // strategies' two branchy scans with aggregate reductions.
 }
 
 #[cfg(test)]

@@ -41,6 +41,8 @@ mod dense;
 mod error;
 mod incremental;
 pub mod io;
+#[allow(unsafe_code)]
+mod isa;
 mod ising;
 mod kernel;
 mod qubo;
@@ -61,6 +63,13 @@ pub use kernel::{
 pub use qubo::QuboModel;
 pub use segments::{SegmentAggregates, SEG_WIDTH};
 pub use solution::Solution;
+
+/// The instruction-set tier the flip path runs on this CPU: `avx512`,
+/// `avx2` or `portable`. Detected once per process; every tier computes
+/// bit-identical results, so this names only the codegen.
+pub fn simd_tier() -> &'static str {
+    isa::Tier::detected().name()
+}
 
 /// The spin map `σ(x) = 2x − 1`, i.e. `σ(0) = −1`, `σ(1) = +1`.
 #[inline(always)]

@@ -20,12 +20,16 @@
 //!   branchless pass — fusing the reduction into the strip update measured
 //!   slower, see the dense kernel's note),
 //! * a **query** first re-reduces only the dirty segments with chunked,
-//!   branchless, autovectorizable loops ([`SegmentAggregates::refresh`]),
-//!   then answers from the `n / 64` aggregates.
+//!   branchless loops ([`SegmentAggregates::refresh`]), then answers from
+//!   the `n / 64` aggregates. The loops autovectorize only in the AVX2 and
+//!   AVX-512 clones the crate's instruction-set tier layer compiles them
+//!   into; the baseline `x86_64` (SSE2) build keeps them scalar.
 //!
 //! Strategies that never scan (simulated annealing's random proposals, the
 //! Straight walk) pay only the marking cost — a shift and an `or` per
 //! touched row entry — and never a refresh.
+
+use crate::isa::{self, Tier};
 
 /// log2 of the segment width.
 pub const SEG_SHIFT: usize = 6;
@@ -48,7 +52,7 @@ pub fn seg_count(n: usize) -> usize {
 
 /// Per-segment `min`/`max` of a Δ array, maintained incrementally with a
 /// dirty bitset (one bit per segment) and lazy re-reduction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentAggregates {
     n: usize,
     mins: Vec<i64>,
@@ -235,13 +239,21 @@ impl SegmentAggregates {
     }
 
     /// Re-reduce every min-dirty segment's min/argmin from `delta` and
-    /// clear the min-dirty set. `O(dirty × 64)` with branchless,
-    /// autovectorizable inner loops.
+    /// clear the min-dirty set. `O(dirty × 64)` with branchless inner
+    /// loops, run as the CPU's instruction-set tier clone: they vectorize
+    /// in the AVX2 and AVX-512 clones, and stay scalar in the portable one.
     pub fn refresh_min(&mut self, delta: &[i64]) {
         debug_assert_eq!(delta.len(), self.n);
         if !self.any_dirty_min {
             return;
         }
+        isa::refresh_min(Tier::detected(), self, delta);
+        self.any_dirty_min = false;
+    }
+
+    /// [`Self::refresh_min`]'s loop: the body `isa::refresh_min` clones.
+    #[inline(always)]
+    pub(crate) fn refresh_min_body(&mut self, delta: &[i64]) {
         for w in 0..self.dirty_min.len() {
             let mut bits = self.dirty_min[w];
             self.dirty_min[w] = 0;
@@ -255,16 +267,22 @@ impl SegmentAggregates {
                 self.reductions += 1;
             }
         }
-        self.any_dirty_min = false;
     }
 
     /// Re-reduce every max-dirty segment's max from `delta` and clear the
-    /// max-dirty set.
+    /// max-dirty set, like [`Self::refresh_min`].
     pub fn refresh_max(&mut self, delta: &[i64]) {
         debug_assert_eq!(delta.len(), self.n);
         if !self.any_dirty_max {
             return;
         }
+        isa::refresh_max(Tier::detected(), self, delta);
+        self.any_dirty_max = false;
+    }
+
+    /// [`Self::refresh_max`]'s loop: the body `isa::refresh_max` clones.
+    #[inline(always)]
+    pub(crate) fn refresh_max_body(&mut self, delta: &[i64]) {
         for w in 0..self.dirty_max.len() {
             let mut bits = self.dirty_max[w];
             self.dirty_max[w] = 0;
@@ -272,15 +290,10 @@ impl SegmentAggregates {
                 let seg = (w << 6) | bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let (lo, hi) = self.bounds(seg);
-                let mut mx = i64::MIN;
-                for &v in &delta[lo..hi] {
-                    mx = if v > mx { v } else { mx };
-                }
-                self.maxs[seg] = mx;
+                self.maxs[seg] = reduce_max(&delta[lo..hi]);
                 self.reductions += 1;
             }
         }
-        self.any_dirty_max = false;
     }
 
     /// Lifetime segment re-reductions performed by the lazy refresh paths
@@ -320,41 +333,60 @@ impl SegmentAggregates {
     }
 }
 
-/// Min with its lowest attaining absolute index (the chunk starts at
-/// `base`) over a (non-empty) slice.
-///
-/// Two passes on purpose: the value fold compiles to branchless
-/// conditional moves, and the index is recovered with one first-match scan
-/// (a single well-predicted exit) — measurably faster than a fused
-/// `if v < mn { mn = v; am = k }` loop, which mispredicts on every new
-/// prefix minimum.
-#[inline]
-pub fn reduce_min_argmin(base: usize, chunk: &[i64]) -> (i64, usize) {
-    debug_assert!(!chunk.is_empty());
-    let mut mn = i64::MAX;
-    for &v in chunk {
-        mn = if v < mn { v } else { mn };
+/// Apply the fold `f` to a chunk of at most one segment. A whole segment
+/// is passed as `[i64; SEG_WIDTH]` first, so the vector clones see a
+/// constant trip count and unroll it with no remainder loop; only the last,
+/// partial segment of an array takes the variable-length form.
+#[inline(always)]
+fn fold_segment<R>(chunk: &[i64], f: impl Fn(&[i64]) -> R) -> R {
+    debug_assert!(!chunk.is_empty() && chunk.len() <= SEG_WIDTH);
+    match <&[i64; SEG_WIDTH]>::try_from(chunk) {
+        Ok(full) => f(full),
+        Err(_) => f(chunk),
     }
-    let mut am = 0usize;
-    for (k, &v) in chunk.iter().enumerate() {
-        if v == mn {
-            am = k;
-            break;
-        }
-    }
-    (mn, base + am)
 }
 
-/// Min (with lowest attaining absolute index) and max fold over a
-/// (non-empty) slice — see [`reduce_min_argmin`] for the two-pass shape.
-#[inline]
-pub fn reduce_min_argmin_max(base: usize, chunk: &[i64]) -> (i64, usize, i64) {
+/// Min with its lowest attaining absolute index (the chunk starts at
+/// `base`) over a non-empty chunk of at most one segment.
+///
+/// Three branchless steps, so the vector clones vectorize all of it: a min
+/// fold, a 64-bit mask of the lanes equal to the min, and the mask's
+/// `trailing_zeros` for the lowest index. An early-exit first-match scan
+/// does not vectorize, and a fused `if v < mn { mn = v; am = k }` loop
+/// mispredicts on every new prefix minimum.
+#[inline(always)]
+pub(crate) fn reduce_min_argmin(base: usize, chunk: &[i64]) -> (i64, usize) {
+    let (mn, hits) = fold_segment(chunk, |c| {
+        let mut mn = i64::MAX;
+        for &v in c {
+            mn = if v < mn { v } else { mn };
+        }
+        let mut hits = 0u64;
+        for (k, &v) in c.iter().enumerate() {
+            hits |= ((v == mn) as u64) << k;
+        }
+        (mn, hits)
+    });
+    (mn, base + hits.trailing_zeros() as usize)
+}
+
+/// Max over a non-empty chunk of at most one segment.
+#[inline(always)]
+pub(crate) fn reduce_max(chunk: &[i64]) -> i64 {
+    fold_segment(chunk, |c| {
+        let mut mx = i64::MIN;
+        for &v in c {
+            mx = if v > mx { v } else { mx };
+        }
+        mx
+    })
+}
+
+/// Min (with lowest attaining absolute index) and max over a non-empty
+/// chunk of at most one segment.
+pub(crate) fn reduce_min_argmin_max(base: usize, chunk: &[i64]) -> (i64, usize, i64) {
     let (mn, am) = reduce_min_argmin(base, chunk);
-    let mut mx = i64::MIN;
-    for &v in chunk {
-        mx = if v > mx { v } else { mx };
-    }
-    (mn, am, mx)
+    (mn, am, reduce_max(chunk))
 }
 
 #[cfg(test)]

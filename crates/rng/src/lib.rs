@@ -99,13 +99,6 @@ pub fn shuffle<T, R: Rng64 + ?Sized>(slice: &mut [T], rng: &mut R) {
     }
 }
 
-/// Sample a random permutation of `0..n`.
-pub fn random_permutation<R: Rng64 + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..n).collect();
-    shuffle(&mut perm, rng);
-    perm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,15 +153,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn random_permutation_has_all_elements() {
-        let mut rng = Xorshift64Star::new(2023);
-        let p = random_permutation(64, &mut rng);
-        let mut sorted = p.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
     }
 
     #[test]

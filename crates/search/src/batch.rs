@@ -44,11 +44,6 @@ impl BatchSearch {
         }
     }
 
-    /// The configured parameters.
-    pub fn params(&self) -> &SearchParams {
-        &self.params
-    }
-
     /// Run one batch on the resident `state` (any kernel backend) with the
     /// configured `batch_flips(n)` budget.
     pub fn run<K: QuboKernel, R: Rng64 + ?Sized>(
