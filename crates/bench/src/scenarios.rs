@@ -721,7 +721,7 @@ pub mod scan {
     use super::*;
     use dabs_model::{BestTracker, IncrementalState, QuboModel, Solution};
     use dabs_rng::{Rng64, Xorshift64Star};
-    use dabs_search::{cyclic_min, max_min, positive_min, reference, TabuList};
+    use dabs_search::{cyclic_min, max_min, positive_min, random_min, reference, TabuList};
     use std::time::{Duration, Instant};
 
     /// The CI speedup contract: segment-aggregate selection must beat the
@@ -781,12 +781,17 @@ pub mod scan {
     }
 
     /// Which strategy a measurement arm runs; `seg` selects the
-    /// segment-primitive implementation vs the full-scan reference.
+    /// production implementation vs its reference in
+    /// `dabs_search::reference`.
     #[derive(Clone, Copy)]
     enum Strategy {
         MaxMin,
         PositiveMin,
         CyclicMin,
+        /// RandomMin legs of `⌈0.1 n⌉` flips, as a batch runs them, so each
+        /// leg walks the whole cubic schedule; the reference arm is the
+        /// libm-`ln` gap ([`reference::random_min_ln`]), not a scan.
+        RandomMin,
         Greedy,
         /// The §III-B batch composite: alternating Greedy-to-local-minimum
         /// and PositiveMin legs of `⌈0.1 n⌉` flips — the work a resident
@@ -812,6 +817,14 @@ pub mod scan {
             }
             (Strategy::CyclicMin, true) => cyclic_min(st, best, tabu, flips),
             (Strategy::CyclicMin, false) => reference::cyclic_min_scan(st, best, tabu, flips),
+            (Strategy::RandomMin, seg) => {
+                let leg = (st.n() as u64).div_ceil(10).min(flips);
+                if seg {
+                    random_min(st, best, tabu, rng, leg)
+                } else {
+                    reference::random_min_ln(st, best, tabu, rng, leg)
+                }
+            }
             (Strategy::Batch, true) => {
                 let leg = (st.n() as u64).div_ceil(10);
                 let mut done = dabs_search::greedy(st, best, tabu, u64::MAX);
@@ -902,7 +915,7 @@ pub mod scan {
         let (n, flips, reps) = shape(mode);
         let gset = sparse_model(n, 5 * n, 9, seed.wrapping_add(79));
         let weighted = sparse_model(n, 12 * n, 99, seed.wrapping_add(80));
-        let plan: [(&'static str, &QuboModel, Strategy, bool); 6] = [
+        let plan: [(&'static str, &QuboModel, Strategy, bool); 7] = [
             ("gset.greedy", &gset, Strategy::Greedy, false),
             ("gset.cyclicmin", &gset, Strategy::CyclicMin, false),
             (
@@ -912,6 +925,7 @@ pub mod scan {
                 true,
             ),
             ("weighted.maxmin", &weighted, Strategy::MaxMin, false),
+            ("weighted.randommin", &weighted, Strategy::RandomMin, false),
             ("weighted.batch", &weighted, Strategy::Batch, true),
             ("gset.batch", &gset, Strategy::Batch, false),
         ];
@@ -1272,9 +1286,10 @@ pub mod obs_overhead {
 
     /// One arm of a pair: its own resident state, advanced by batch
     /// composites in timed slices, each slice's flips/s recorded. The
-    /// instrumented arm additionally reports each batch (strategy, flip
-    /// count, Δ-segment re-reductions, improved?) to an accumulator — the
-    /// exact call sequence `SeqEngine::one_batch` makes.
+    /// instrumented arm additionally times each batch and reports it
+    /// (strategy, flip count, Δ-segment re-reductions, improved?, wall
+    /// time) to an accumulator — the exact call sequence
+    /// `SeqEngine::one_batch` makes.
     struct Arm<'m> {
         st: IncrementalState<'m>,
         best: BestTracker,
@@ -1314,13 +1329,14 @@ pub mod obs_overhead {
         }
 
         fn batch(&mut self) -> u64 {
+            let started = self.acc.is_some().then(Instant::now);
             let (st, best, tabu) = (&mut self.st, &mut self.best, &mut self.tabu);
             let mut done = dabs_search::greedy(st, best, tabu, u64::MAX);
             done += positive_min(st, best, tabu, &mut self.rng, self.leg);
-            if let Some(acc) = self.acc.as_mut() {
+            if let (Some(acc), Some(started)) = (self.acc.as_mut(), started) {
                 let reds = st.seg_reductions();
                 let improved = best.energy() < self.last_best;
-                acc.on_batch(0, done, reds - self.last_reds, improved);
+                acc.on_batch(0, done, reds - self.last_reds, improved, started.elapsed());
                 self.last_reds = reds;
                 self.last_best = best.energy();
             }

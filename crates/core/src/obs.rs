@@ -3,8 +3,8 @@
 //!
 //! The flip loop is scan-free-fast and must stay that way, so nothing in
 //! the hot path touches a shared atomic. Instead the sequential engine
-//! tallies per-batch deltas (flips per strategy, incumbent updates,
-//! Δ-segment re-reductions) into a private [`ObsAccumulator`] and
+//! tallies per-batch deltas (flips and wall time per strategy, incumbent
+//! updates, Δ-segment re-reductions) into a private [`ObsAccumulator`] and
 //! publishes to the process-wide [`SolverObs`] only once every
 //! `2^OBS_SAMPLE_SHIFT` batches — plus a final flush when the unit ends —
 //! so the shared counters lag the truth by at most one sampling window.
@@ -13,6 +13,7 @@ use crate::stats::{Direction, Metric, MetricSet, N_ALGOS};
 use dabs_obs::{Counter, HistSnapshot, OBS_SAMPLE_MASK};
 use dabs_search::MainAlgorithm;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 /// Process-wide solver counters, indexed by [`MainAlgorithm::index`]
 /// where per-strategy. Updated at sampling granularity by every engine in
@@ -23,6 +24,11 @@ pub struct SolverObs {
     pub batches: Counter,
     /// Flips executed, per main algorithm.
     pub flips_by_algo: [Counter; N_ALGOS],
+    /// Wall time of the batches each main algorithm ran, in nanoseconds
+    /// (exported in µs as `solver.batch_us.<Algo>`). Over the matching
+    /// `flips_by_algo` it is the cost per flip of that algorithm's batches,
+    /// greedy descents and the Straight walk included.
+    pub batch_ns_by_algo: [Counter; N_ALGOS],
     /// Engine-best (incumbent) improvements, per main algorithm — the
     /// improvement-rate signal the ROADMAP's portfolio controller reads.
     pub incumbents_by_algo: [Counter; N_ALGOS],
@@ -39,6 +45,7 @@ impl SolverObs {
         Self {
             batches: Counter::new(),
             flips_by_algo: std::array::from_fn(|_| Counter::new()),
+            batch_ns_by_algo: std::array::from_fn(|_| Counter::new()),
             incumbents_by_algo: std::array::from_fn(|_| Counter::new()),
             seg_reductions: Counter::new(),
             bulk_flips: Counter::new(),
@@ -97,6 +104,12 @@ impl SolverObs {
                 up,
             ));
             set.push(Metric::new(
+                format!("solver.batch_us.{}", algo.name()),
+                self.batch_ns_by_algo[i].get() as f64 / 1e3,
+                "us",
+                Direction::LowerIsBetter,
+            ));
+            set.push(Metric::new(
                 format!("solver.incumbent_updates.{}", algo.name()),
                 self.incumbents_by_algo[i].get() as f64,
                 "count",
@@ -120,6 +133,7 @@ pub struct ObsAccumulator {
     batches: u64,
     pend_batches: u64,
     pend_flips: [u64; N_ALGOS],
+    pend_batch_ns: [u64; N_ALGOS],
     pend_incumbents: [u64; N_ALGOS],
     pend_reductions: u64,
     pend_bulk_flips: u64,
@@ -132,13 +146,21 @@ impl ObsAccumulator {
     }
 
     /// Record one completed batch: which strategy ran, how many flips and
-    /// segment re-reductions it cost, and whether it improved the engine
-    /// best. Publishes on 1-in-2^k batches only.
+    /// segment re-reductions it cost, whether it improved the engine best,
+    /// and its wall time. Publishes on 1-in-2^k batches only.
     #[inline]
-    pub fn on_batch(&mut self, algo_index: usize, flips: u64, reductions: u64, improved: bool) {
+    pub fn on_batch(
+        &mut self,
+        algo_index: usize,
+        flips: u64,
+        reductions: u64,
+        improved: bool,
+        elapsed: Duration,
+    ) {
         self.batches += 1;
         self.pend_batches += 1;
         self.pend_flips[algo_index] += flips;
+        self.pend_batch_ns[algo_index] += u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.pend_reductions += reductions;
         if improved {
             self.pend_incumbents[algo_index] += 1;
@@ -175,6 +197,10 @@ impl ObsAccumulator {
             if self.pend_flips[i] > 0 {
                 obs.flips_by_algo[i].add(self.pend_flips[i]);
                 self.pend_flips[i] = 0;
+            }
+            if self.pend_batch_ns[i] > 0 {
+                obs.batch_ns_by_algo[i].add(self.pend_batch_ns[i]);
+                self.pend_batch_ns[i] = 0;
             }
             if self.pend_incumbents[i] > 0 {
                 obs.incumbents_by_algo[i].add(self.pend_incumbents[i]);
@@ -251,7 +277,7 @@ mod tests {
             // One short of a full sampling window: only the drop-flush can
             // publish these.
             for _ in 0..OBS_SAMPLE_MASK {
-                acc.on_batch(0, 10, 1, false);
+                acc.on_batch(0, 10, 1, false, Duration::from_micros(3));
             }
         }
         assert!(solver_obs().batches.get() >= before + OBS_SAMPLE_MASK);
@@ -261,12 +287,14 @@ mod tests {
     fn accumulator_publishes_on_window_boundary() {
         let obs = solver_obs();
         let before = obs.flips_by_algo[1].get();
+        let ns_before = obs.batch_ns_by_algo[1].get();
         let mut acc = ObsAccumulator::new();
         for _ in 0..=OBS_SAMPLE_MASK {
-            acc.on_batch(1, 5, 0, true);
+            acc.on_batch(1, 5, 0, true, Duration::from_micros(2));
         }
         // The 2^k-th batch hit the boundary and published before any drop.
         assert!(obs.flips_by_algo[1].get() >= before + 5 * (OBS_SAMPLE_MASK + 1));
+        assert!(obs.batch_ns_by_algo[1].get() >= ns_before + 2_000 * (OBS_SAMPLE_MASK + 1));
         drop(acc);
     }
 
@@ -294,6 +322,9 @@ mod tests {
         solver_obs().metrics_into(&mut set);
         for algo in MainAlgorithm::ALL {
             assert!(set.get(&format!("solver.flips.{}", algo.name())).is_some());
+            assert!(set
+                .get(&format!("solver.batch_us.{}", algo.name()))
+                .is_some());
         }
         assert!(set.get("solver.seg_reductions").is_some());
         assert!(set.get("solver.bulk_flips").is_some());
@@ -304,7 +335,7 @@ mod tests {
         let before = solver_obs().bulk_flips.get();
         {
             let mut acc = ObsAccumulator::new();
-            acc.on_batch(0, 640, 0, false);
+            acc.on_batch(0, 640, 0, false, Duration::ZERO);
             acc.on_bulk(640);
         }
         assert!(solver_obs().bulk_flips.get() >= before + 640);

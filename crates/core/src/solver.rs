@@ -650,15 +650,19 @@ impl<'m, K: BatchKernel> SeqEngine<'m, K> {
             (generate_target(op, pool, neighbor, n, cfg, rng), algo, op)
         };
         self.frequencies.record_dispatch(algo, op);
-        // The re-reduction delta around the batch feeds the sampled
-        // observability tally; the flip loop itself is untouched.
+        // The re-reduction delta and the wall time around the batch feed
+        // the sampled observability tally; the flip loop itself is
+        // untouched.
         let reds_before = self.devices[d].seg_reductions();
+        let started = Instant::now();
         let (solution, energy, flips) = self.devices[d].batch(&target, algo);
+        let elapsed = started.elapsed();
         let reds_delta = self.devices[d].seg_reductions() - reds_before;
         self.batches += 1;
         self.flips += flips;
         let improved = energy < self.best_energy;
-        self.obs.on_batch(algo.index(), flips, reds_delta, improved);
+        self.obs
+            .on_batch(algo.index(), flips, reds_delta, improved, elapsed);
         if self.cfg.params.batch_lanes >= 64 {
             self.obs.on_bulk(flips);
         }

@@ -34,11 +34,17 @@ pub trait Rng64 {
         (self.next_u64() >> 32) as u32
     }
 
-    /// Uniform float in `[0, 1)` with 53 bits of precision.
+    /// Uniform integer in `[0, 2^53)`: the top 53 bits of one raw draw.
+    #[inline]
+    fn next_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
+    }
+
+    /// Uniform float in `[0, 1)` with 53 bits of precision: one
+    /// [`Self::next_u53`] draw mapped by [`unit_f64`].
     #[inline]
     fn next_f64(&mut self) -> f64 {
-        // Take the top 53 bits: the standard (value >> 11) * 2^-53 recipe.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u53())
     }
 
     /// Uniform integer in `[0, bound)`. `bound` must be nonzero.
@@ -84,6 +90,14 @@ pub trait Rng64 {
     }
 }
 
+/// The float [`Rng64::next_f64`] returns for the 53-bit draw `m`:
+/// `m · 2⁻⁵³`, exact for every `m < 2⁵³`. Code that branches on the integer
+/// draw and needs the float too maps it here, so the two cannot drift apart.
+#[inline]
+pub fn unit_f64(m: u64) -> f64 {
+    m as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 impl<R: Rng64 + ?Sized> Rng64 for &mut R {
     #[inline]
     fn next_u64(&mut self) -> u64 {
@@ -110,6 +124,25 @@ mod tests {
             let f = rng.next_f64();
             assert!((0.0..1.0).contains(&f), "f64 out of range: {f}");
         }
+    }
+
+    #[test]
+    fn next_f64_is_the_mapped_53_bit_draw() {
+        // Same raw stream three ways: the 53-bit draw, the float, and the
+        // `(x >> 11) · 2⁻⁵³` recipe `next_f64` has always computed.
+        let mut raw = Xorshift64Star::new(77);
+        let mut ints = raw;
+        let mut floats = raw;
+        for _ in 0..10_000 {
+            let m = ints.next_u53();
+            assert!(m < 1 << 53);
+            let f = floats.next_f64();
+            assert_eq!(f.to_bits(), unit_f64(m).to_bits());
+            let recipe = (raw.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+            assert_eq!(f.to_bits(), recipe.to_bits());
+        }
+        assert_eq!(unit_f64(0), 0.0);
+        assert_eq!(unit_f64((1 << 53) - 1), 1.0 - f64::EPSILON / 2.0);
     }
 
     #[test]

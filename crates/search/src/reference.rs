@@ -1,16 +1,19 @@
-//! The pre-segment **full-scan** selection path, kept verbatim as a
-//! reference implementation.
+//! The superseded selection paths, kept verbatim as reference
+//! implementations.
 //!
 //! Before the segment-aggregate layer existed, every strategy re-scanned
-//! the whole Δ array (often twice) to pick its next bit. These functions
-//! preserve that code exactly, for two jobs:
+//! the whole Δ array (often twice) to pick its next bit; before its gap
+//! sampler, RandomMin called libm `ln` for every candidate gap
+//! ([`random_min_ln`]). These functions preserve that code exactly, for
+//! two jobs:
 //!
-//! * **parity** — `tests/solver_parity.rs` proves the segment-accelerated
+//! * **parity** — `tests/solver_parity.rs` proves the production
 //!   strategies produce bit-identical trajectories, best solutions, and
-//!   flip counts against these scans under the same RNG streams;
+//!   flip counts against these paths under the same RNG streams;
 //! * **measurement** — the bench suite's `scan_sweep` entry reports the
-//!   strategy-level flips/s of the segment path *relative to this one*, a
-//!   machine-independent speedup that CI gates (`docs/BENCHMARKS.md`).
+//!   strategy-level flips/s of the production path *relative to this
+//!   one*, a machine-independent speedup that CI gates
+//!   (`docs/BENCHMARKS.md`).
 //!
 //! Nothing in the production solvers calls into this module.
 
@@ -182,6 +185,66 @@ pub fn cyclic_min_scan<K: QuboKernel>(
         pos = (pos + width) % n;
     }
     t_max
+}
+
+/// [`crate::random_min`] with a libm `ln` per candidate gap.
+pub fn random_min_ln<K: QuboKernel, R: Rng64 + ?Sized>(
+    state: &mut IncrementalState<'_, K>,
+    best: &mut BestTracker,
+    tabu: &mut TabuList,
+    rng: &mut R,
+    total_flips: u64,
+) -> u64 {
+    let n = state.n();
+    let floor_p = (32.0 / n as f64).min(1.0);
+    let t_max = total_flips;
+    for t in 1..=t_max {
+        let p = cubic(t as f64 / t_max as f64).max(floor_p).min(1.0);
+
+        // Geometric skipping over 0..n: next candidate index jumps by
+        // 1 + floor(log(U)/log(1-p)).
+        let mut arg = usize::MAX;
+        let mut min_d = i64::MAX;
+        let mut i = skip_ln(rng, p);
+        while i < n {
+            let d = state.delta(i);
+            if d < min_d && !tabu.is_tabu(i) {
+                min_d = d;
+                arg = i;
+            }
+            i += 1 + skip_ln(rng, p);
+        }
+        // No usable candidate (empty sample or all tabu): retry with a
+        // single uniformly random non-tabu bit so the flip count stays
+        // exact.
+        let bit = if arg == usize::MAX {
+            crate::randommin::fallback_bit(state, tabu, rng)
+        } else {
+            arg
+        };
+        if arg != usize::MAX {
+            best.observe_neighbor(state, arg);
+        }
+        state.flip(bit);
+        tabu.record(bit);
+        best.observe(state);
+    }
+    t_max
+}
+
+/// Geometric(1-p) gap: number of indices skipped before the next candidate.
+#[inline]
+pub(crate) fn skip_ln<R: Rng64 + ?Sized>(rng: &mut R, p: f64) -> usize {
+    if p >= 1.0 {
+        return 0;
+    }
+    let u = rng.next_f64().max(f64::MIN_POSITIVE);
+    let g = (u.ln() / (1.0 - p).ln()).floor();
+    if g >= usize::MAX as f64 {
+        usize::MAX
+    } else {
+        g as usize
+    }
 }
 
 #[cfg(test)]

@@ -255,6 +255,22 @@ fn assert_strategy_parity(n: usize, density: f64, seed: u64, flips: u64, which: 
                 flips,
             );
         }
+        "randommin" => {
+            dabs::search::random_min(
+                &mut st_seg,
+                &mut best_seg,
+                &mut tabu_seg,
+                &mut rng_seg,
+                flips,
+            );
+            reference::random_min_ln(
+                &mut st_scan,
+                &mut best_scan,
+                &mut tabu_scan,
+                &mut rng_scan,
+                flips,
+            );
+        }
         "cyclicmin" => {
             dabs::search::cyclic_min(&mut st_seg, &mut best_seg, &mut tabu_seg, flips);
             reference::cyclic_min_scan(&mut st_scan, &mut best_scan, &mut tabu_scan, flips);
@@ -299,7 +315,7 @@ fn segment_strategies_are_bit_identical_to_the_scan_reference() {
         (129, 0.05),
         (200, 0.3),
     ] {
-        for which in ["maxmin", "positivemin", "cyclicmin", "greedy"] {
+        for which in ["maxmin", "positivemin", "randommin", "cyclicmin", "greedy"] {
             assert_strategy_parity(n, density, 1_000 + n as u64, 1_500, which);
         }
     }
@@ -343,4 +359,47 @@ fn segment_batch_composite_is_bit_identical_to_the_scan_reference() {
     assert_eq!(best_seg.energy(), best_scan.energy());
     assert_eq!(best_seg.solution(), best_scan.solution());
     st_seg.assert_consistent();
+}
+
+#[test]
+fn randommin_batch_composite_is_bit_identical_to_the_ln_reference() {
+    // The §III-B shape with RandomMin as the main algorithm: alternating
+    // greedy descents and RandomMin legs of ⌈0.1·n⌉ flips, so every leg
+    // walks the whole cubic schedule from the 32/n floor up to p = 1 —
+    // the gap sampler against the libm `ln` gap it replaced.
+    use dabs::model::{BestTracker, IncrementalState, Solution};
+    use dabs::search::{reference, TabuList};
+
+    for (n, density, seed) in [(150usize, 0.2, 81u64), (480, 0.02, 82), (81, 0.9, 83)] {
+        let q = random_model(n, density, seed);
+        let mut start_rng = Xorshift64Star::new(seed + 100);
+        let start = Solution::random(n, &mut start_rng);
+        let mut st_new = IncrementalState::from_solution(&q, start.clone());
+        let mut st_ln = IncrementalState::from_solution(&q, start);
+        let mut best_new = BestTracker::unbounded(n);
+        let mut best_ln = BestTracker::unbounded(n);
+        let mut tabu_new = TabuList::new(n, 8);
+        let mut tabu_ln = TabuList::new(n, 8);
+        let mut rng_new = Xorshift64Star::new(seed + 200);
+        let mut rng_ln = Xorshift64Star::new(seed + 200);
+        let leg = (n as u64).div_ceil(10);
+        for round in 0..25 {
+            dabs::search::greedy(&mut st_new, &mut best_new, &mut tabu_new, u64::MAX);
+            dabs::search::greedy(&mut st_ln, &mut best_ln, &mut tabu_ln, u64::MAX);
+            dabs::search::random_min(&mut st_new, &mut best_new, &mut tabu_new, &mut rng_new, leg);
+            reference::random_min_ln(&mut st_ln, &mut best_ln, &mut tabu_ln, &mut rng_ln, leg);
+            let label = format!("n={n} round {round}");
+            assert_eq!(st_new.solution(), st_ln.solution(), "{label}: vector");
+            assert_eq!(st_new.energy(), st_ln.energy(), "{label}: energy");
+            assert_eq!(st_new.flips(), st_ln.flips(), "{label}: flips");
+            assert_eq!(rng_new.next_u64(), rng_ln.next_u64(), "{label}: RNG");
+        }
+        assert_eq!(best_new.energy(), best_ln.energy(), "n={n}: best energy");
+        assert_eq!(
+            best_new.solution(),
+            best_ln.solution(),
+            "n={n}: best vector"
+        );
+        st_new.assert_consistent();
+    }
 }
