@@ -2,12 +2,14 @@
 //! kernel backends, with segment-aggregate maintenance) and the selection
 //! primitives the search strategies run between flips — at the three
 //! parity densities, so a change to the segment layer shows its cost and
-//! payoff in one table.
+//! payoff in one table — plus PositiveMin's two selection calls at greedy
+//! local minima of a G22-shaped graph, the tie-heavy states where most
+//! segments hold a zero gain.
 //!
 //! Run with `cargo bench -p dabs-model --bench flip_loop`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use dabs_model::{IncrementalState, KernelChoice, QuboBuilder, QuboModel};
+use dabs_model::{IncrementalState, KernelChoice, QuboBuilder, QuboModel, SEG_WIDTH};
 use dabs_rng::{Rng64, Xorshift64Star};
 
 const N: usize = 512;
@@ -137,6 +139,109 @@ fn bench_selection(c: &mut Criterion) {
     group.finish();
 }
 
+/// Max-cut QUBO of a G22-shaped graph: `GSET_N` nodes, `GSET_N` distinct
+/// unit edges (average degree 2), built here so the bench needs no problem
+/// generator crate.
+const GSET_N: usize = 200;
+
+fn gset_shaped_model() -> QuboModel {
+    let mut rng = Xorshift64Star::new(22);
+    let mut edges = std::collections::HashSet::new();
+    while edges.len() < GSET_N {
+        let (i, j) = (rng.next_index(GSET_N), rng.next_index(GSET_N));
+        if i != j {
+            edges.insert((i.min(j), i.max(j)));
+        }
+    }
+    let mut edges: Vec<(usize, usize)> = edges.into_iter().collect();
+    edges.sort_unstable();
+    let mut b = QuboBuilder::new(GSET_N);
+    for (i, j) in edges {
+        b.add_maxcut_edge(i, j, 1);
+    }
+    b.build().unwrap()
+}
+
+/// `count` greedy local minima (steepest descent from random starts until
+/// no gain is negative), with their aggregates refreshed.
+fn local_minima(q: &QuboModel, count: usize) -> Vec<IncrementalState<'_>> {
+    let mut rng = Xorshift64Star::new(39);
+    (0..count)
+        .map(|_| {
+            let start = dabs_model::Solution::random(q.n(), &mut rng);
+            let mut st = IncrementalState::from_solution(q, start);
+            loop {
+                let (k, d) = st.min_delta();
+                if d >= 0 {
+                    break;
+                }
+                st.flip(k);
+            }
+            st
+        })
+        .collect()
+}
+
+/// PositiveMin's selection calls at G-set local minima: one iteration runs
+/// the call once on each of the 64 states, so divide by 64 for the cost
+/// per call (the states stay put, so no refresh is on the clock).
+fn bench_gset_local_minima(c: &mut Criterion) {
+    let q = gset_shaped_model();
+    let mut states = local_minima(&q, 64);
+    let mut group = c.benchmark_group("gset_local_min_x64");
+    group.bench_function("positive_min_delta", |b| {
+        b.iter(|| {
+            states
+                .iter_mut()
+                .map(|st| st.positive_min_delta())
+                .fold(0i64, |acc, p| acc ^ black_box(p))
+        })
+    });
+    let posmins: Vec<i64> = states
+        .iter_mut()
+        .map(|st| st.positive_min_delta())
+        .collect();
+    let candidates: usize = states
+        .iter()
+        .zip(&posmins)
+        .map(|(st, &p)| st.deltas().iter().filter(|&&d| d <= p).count())
+        .sum();
+    let held: usize = states
+        .iter()
+        .map(|st| {
+            let segs = st.deltas().chunks(SEG_WIDTH);
+            segs.filter(|c| c.iter().any(|&d| d <= 0)).count()
+        })
+        .sum();
+    println!(
+        "gset_local_min_x64: {:.1} candidates per select_le call; {held} of {} segments hold a gain <= 0",
+        candidates as f64 / 64.0,
+        64 * GSET_N.div_ceil(SEG_WIDTH)
+    );
+    let mut rng = Xorshift64Star::new(9);
+    group.bench_function("select_le_posmin", |b| {
+        b.iter(|| {
+            states
+                .iter_mut()
+                .zip(&posmins)
+                .map(|(st, &posmin)| st.select_le(posmin, &mut rng, |_| true))
+                .fold(0usize, |acc, k| acc ^ black_box(k).unwrap_or(0))
+        })
+    });
+    // The same walk with every candidate rejected, so no RNG value is
+    // drawn: the difference to `select_le_posmin` is the draws' cost.
+    group.bench_function("select_le_posmin_no_draws", |b| {
+        b.iter(|| {
+            states
+                .iter_mut()
+                .zip(&posmins)
+                .map(|(st, &posmin)| st.select_le(posmin, &mut rng, |k| black_box(k) == usize::MAX))
+                .fold(0usize, |acc, k| acc ^ black_box(k).unwrap_or(0))
+        })
+    });
+    group.finish();
+}
+
 /// The full-scan selection the segment layer replaced, for an on-demand
 /// before/after on the same machine.
 fn bench_naive_scan(c: &mut Criterion) {
@@ -167,5 +272,11 @@ fn bench_naive_scan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_apply_flip, bench_selection, bench_naive_scan);
+criterion_group!(
+    benches,
+    bench_apply_flip,
+    bench_selection,
+    bench_gset_local_minima,
+    bench_naive_scan
+);
 criterion_main!(benches);

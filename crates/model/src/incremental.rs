@@ -30,12 +30,14 @@
 //! primitives every search strategy uses ([`IncrementalState::min_delta`],
 //! [`IncrementalState::min_max_argmin`], [`IncrementalState::select_le`],
 //! [`IncrementalState::window_argmin`], …) from `O(n)` re-scans into
-//! `O(n/64 + dirty)` reductions, while keeping their results **bit-identical**
-//! to a sequential scan (same tie-breaks, same reservoir-sampling RNG
-//! stream — the parity suite in `tests/solver_parity.rs` enforces this
-//! against the reference scan path in `dabs_search::reference`).
+//! `O(n/64 + dirty)` reductions (plus a branch-free 64-lane pass over each
+//! segment an aggregate cannot settle for a threshold selection), while
+//! keeping their results **bit-identical** to a sequential scan (same
+//! tie-breaks, same reservoir-sampling RNG stream — the parity suite in
+//! `tests/solver_parity.rs` enforces this against the reference scan path
+//! in `dabs_search::reference`).
 
-use crate::segments::{seg_of, SegmentAggregates, SEG_SHIFT};
+use crate::segments::{seg_count, seg_of, SegmentAggregates, SEG_SHIFT};
 use crate::{CsrKernel, DenseKernel, QuboKernel, QuboModel, Solution};
 use dabs_rng::Rng64;
 
@@ -48,6 +50,10 @@ pub struct IncrementalState<'m, K: QuboKernel = CsrKernel<'m>> {
     energy: i64,
     delta: Vec<i64>,
     segs: SegmentAggregates,
+    /// Scratch for the threshold selections: one candidate mask per
+    /// segment (see [`IncrementalState::select_le`]), owned by the state
+    /// so a selection allocates nothing.
+    masks: Vec<u64>,
     flips: u64,
 }
 
@@ -88,6 +94,7 @@ impl<'m, K: QuboKernel> IncrementalState<'m, K> {
             energy: 0,
             delta: kernel.diag().to_vec(),
             segs: SegmentAggregates::all_dirty(model.n()),
+            masks: vec![0; seg_count(model.n())],
             model,
             kernel,
             flips: 0,
@@ -105,6 +112,7 @@ impl<'m, K: QuboKernel> IncrementalState<'m, K> {
         let energy = kernel.init(&x, &mut delta);
         Self {
             segs: SegmentAggregates::all_dirty(model.n()),
+            masks: vec![0; seg_count(model.n())],
             model,
             kernel,
             x,
@@ -253,41 +261,31 @@ impl<'m, K: QuboKernel> IncrementalState<'m, K> {
     /// Smallest strictly positive gain, or `i64::MAX` when no gain is
     /// positive — PositiveMin's threshold. A segment whose min is positive
     /// resolves from the aggregate alone (its min *is* its smallest
-    /// positive); only segments holding non-positive gains are scanned.
-    /// Near a local minimum nearly all gains are positive, so this is
-    /// `O(n/64)` exactly where PositiveMin spends its time.
+    /// positive); every other segment is folded branch-free over its 64
+    /// gains. At a local minimum of a sparse unit-weight instance (the
+    /// G-set shapes) 91–100% of the segments hold a gain ≤ 0, many of them
+    /// exactly 0, so this is an `O(n)` fold there, not `O(n/64)`.
     pub fn positive_min_delta(&mut self) -> i64 {
         self.refresh_min();
-        let mut posmin = i64::MAX;
-        for s in 0..self.segs.segments() {
-            let mn = self.segs.min_of(s);
-            if mn > 0 {
-                posmin = posmin.min(mn);
-                continue;
-            }
-            let (lo, hi) = self.segs.bounds(s);
-            for &d in &self.delta[lo..hi] {
-                if d > 0 && d < posmin {
-                    posmin = d;
-                }
-            }
-        }
-        posmin
+        self.segs.positive_min(&self.delta)
     }
 
     /// Reservoir-sample uniformly among `{k : Δ_k ≤ bound ∧ allowed(k)}` in
-    /// index order, skipping whole segments whose min exceeds the bound.
-    /// Draws exactly the same RNG stream as a full sequential scan — skipped
-    /// segments contain no candidates, so no draw is elided — making the
-    /// choice bit-identical to the pre-segment code. Returns `None` when no
-    /// candidate survives `allowed`.
+    /// index order. Each segment's candidates come as one branch-free
+    /// 64-bit mask (empty, without reading a gain, when the segment's min
+    /// exceeds the bound), and only candidates are tested and drawn for,
+    /// so the RNG stream and the choice are bit-identical to a full
+    /// sequential scan. Returns `None` when no candidate survives
+    /// `allowed`.
     pub fn select_le<R: Rng64 + ?Sized>(
         &mut self,
         bound: i64,
         rng: &mut R,
         allowed: impl Fn(usize) -> bool,
     ) -> Option<usize> {
-        self.select_le_by(|mn| mn <= bound, |d| d <= bound, rng, allowed)
+        self.refresh_min();
+        self.segs.le_masks(&self.delta, bound, &mut self.masks);
+        reservoir(&self.masks, rng, allowed)
     }
 
     /// [`IncrementalState::select_le`] against a floating-point threshold
@@ -299,49 +297,28 @@ impl<'m, K: QuboKernel> IncrementalState<'m, K> {
         rng: &mut R,
         allowed: impl Fn(usize) -> bool,
     ) -> Option<usize> {
-        // `(d as f64) ≤ bound ⟺ d ≤ ⌊bound⌋` in exact arithmetic, and the
-        // i64→f64 rounding error (≤ |d|·2⁻⁵³) cannot flip the comparison
-        // while |bound| < 2⁵²: any `d` on the wrong side of ⌊bound⌋ is
-        // separated from it by ≥ 2⁵² − 2⁵² ≫ the error once |d| leaves the
-        // exactly-representable range. Integer compares drop a per-lane
-        // int→float conversion from the hot loop.
+        // While |bound| < 2⁵², `(d as f64) ≤ bound ⟺ d ≤ ⌊bound⌋` for
+        // every i64 `d`, so the integer masks apply: an i64 with |d| ≤ 2⁵³
+        // converts exactly, and an integer `d` is ≤ bound iff it is
+        // ≤ ⌊bound⌋; one beyond ±2⁵³ converts to a value beyond ±2⁵³ (the
+        // conversion is monotone and ±2⁵³ are representable), on the same
+        // side of `bound` as `d` itself. The integer compare also keeps a
+        // per-gain int→float conversion out of the mask loop.
         const EXACT: f64 = (1u64 << 52) as f64;
         if bound.abs() < EXACT {
             return self.select_le(bound.floor() as i64, rng, allowed);
         }
-        self.select_le_by(
+        // Beyond it (and for a NaN bound, which admits nothing) the masks
+        // take the float test itself, in a scalar loop: conversion is
+        // monotone, so a segment whose min fails it holds no candidate.
+        self.refresh_min();
+        self.segs.masks_by(
+            &self.delta,
+            &mut self.masks,
             |mn| (mn as f64) <= bound,
             |d| (d as f64) <= bound,
-            rng,
-            allowed,
-        )
-    }
-
-    fn select_le_by<R: Rng64 + ?Sized>(
-        &mut self,
-        seg_may_hold: impl Fn(i64) -> bool,
-        candidate: impl Fn(i64) -> bool,
-        rng: &mut R,
-        allowed: impl Fn(usize) -> bool,
-    ) -> Option<usize> {
-        self.refresh_min();
-        let mut chosen = None;
-        let mut count = 0u64;
-        for s in 0..self.segs.segments() {
-            if !seg_may_hold(self.segs.min_of(s)) {
-                continue;
-            }
-            let (lo, hi) = self.segs.bounds(s);
-            for k in lo..hi {
-                if candidate(self.delta[k]) && allowed(k) {
-                    count += 1;
-                    if rng.next_below(count) == 0 {
-                        chosen = Some(k);
-                    }
-                }
-            }
-        }
-        chosen
+        );
+        reservoir(&self.masks, rng, allowed)
     }
 
     /// Argmin over the cyclic window `[start, start + width)` (mod `n`),
@@ -445,6 +422,38 @@ impl<'m, K: QuboKernel> IncrementalState<'m, K> {
         self.refresh();
         self.segs.assert_matches(&self.delta);
     }
+}
+
+/// Reservoir-sample one index uniformly among the set bits of `masks`
+/// (bit `k` of word `s` stands for gain `64·s + k`) that pass `allowed`.
+///
+/// Exactness: words are visited in ascending order and the bits of a word
+/// from lowest to highest (`trailing_zeros`), which is index order.
+/// `allowed(k)` is evaluated only on candidates and `next_below(count)`
+/// drawn once per allowed candidate, so the draws and the choice are those
+/// of the naive scan over every gain (`tests/props_model.rs`).
+#[inline(always)]
+fn reservoir<R: Rng64 + ?Sized>(
+    masks: &[u64],
+    rng: &mut R,
+    allowed: impl Fn(usize) -> bool,
+) -> Option<usize> {
+    let mut chosen = None;
+    let mut count = 0u64;
+    for (s, &mask) in masks.iter().enumerate() {
+        let mut bits = mask;
+        while bits != 0 {
+            let k = (s << SEG_SHIFT) | bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if allowed(k) {
+                count += 1;
+                if rng.next_below(count) == 0 {
+                    chosen = Some(k);
+                }
+            }
+        }
+    }
+    chosen
 }
 
 /// Tracks the best (lowest-energy) solution observed during a search,
@@ -655,6 +664,51 @@ mod tests {
         st.reset_to(y.clone());
         assert_eq!(st.energy(), q.energy(&y));
         st.assert_consistent();
+    }
+
+    #[test]
+    fn select_le_f64_beyond_2_pow_52_takes_the_float_test() {
+        // Gains near ±2⁵⁴ do not all convert to f64 exactly, so past the
+        // integer path the masks must apply `(Δ as f64) ≤ bound` itself,
+        // rounding included, and draw exactly as the float scan does.
+        let n = 130;
+        let mut rng = Xorshift64Star::new(23);
+        let mut b = QuboBuilder::new(n);
+        for i in 0..n {
+            let big = (1i64 << 54) + rng.next_range_i64(-9, 9);
+            b.add_linear(i, if rng.next_bool(0.5) { big } else { -big });
+        }
+        let q = b.build().unwrap();
+        let st0 = IncrementalState::from_solution(&q, Solution::random(n, &mut rng));
+        let edge = (1i64 << 54) as f64;
+        for bound in [
+            edge,
+            edge + 4.0,
+            -edge,
+            -edge - 4.0,
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            let mut st = st0.clone();
+            let allowed = |k: usize| !k.is_multiple_of(3);
+            let mut fast_rng = Xorshift64Star::new(24);
+            let mut scan_rng = Xorshift64Star::new(24);
+            let fast = st.select_le_f64(bound, &mut fast_rng, allowed);
+            let mut scan = None;
+            let mut count = 0u64;
+            for (k, &d) in st.deltas().iter().enumerate() {
+                if (d as f64) <= bound && allowed(k) {
+                    count += 1;
+                    if scan_rng.next_below(count) == 0 {
+                        scan = Some(k);
+                    }
+                }
+            }
+            assert_eq!(fast, scan, "bound {bound}");
+            assert_eq!(fast_rng.next_u64(), scan_rng.next_u64(), "bound {bound}");
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Instruction-set tiers for the scalar flip path.
 //!
-//! The dense one-flip Δ update and the per-segment min/argmin/max
-//! re-reductions are plain integer loops, but the baseline `x86_64` target
-//! is SSE2, which has no 64-bit compare, min or per-lane variable shift, so
-//! they compile to scalar code there. This module compiles each loop's one
-//! portable body (an `#[inline(always)]` function) again as
+//! Five loops of the flip path are plain integer loops: the dense one-flip
+//! Δ update, the per-segment min/argmin and max re-reductions, and the two
+//! selection folds (the per-segment `Δ ≤ bound` candidate masks behind
+//! `select_le`, and the smallest positive gain). The baseline `x86_64`
+//! target is SSE2, which has no 64-bit compare, min or per-lane variable
+//! shift, so they compile to scalar code there. This module compiles each
+//! loop's one portable body (an `#[inline(always)]` function) again as
 //! `#[target_feature]` clones for AVX2 and AVX-512 and runs the clone of a
 //! tier detected once per process, in the order AVX-512 > AVX2 > portable.
 //!
@@ -91,21 +93,22 @@ fn detect() -> Level {
 }
 
 /// Define `$name(tier, args…)`, which runs `$body(args…)` compiled for
-/// `tier`. `$body` must be `#[inline(always)]`, including everything it
-/// calls in its loops: each clone then compiles its own copy with its own
-/// target features, where an out-of-line call would run baseline code.
+/// `tier` and returns its result. `$body` must be `#[inline(always)]`,
+/// including everything it calls in its loops: each clone then compiles
+/// its own copy with its own target features, where an out-of-line call
+/// would run baseline code.
 macro_rules! tiered {
-    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) = $body:path;) => {
+    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:path;) => {
         $(#[$doc])*
-        pub(crate) fn $name(tier: Tier, $($arg: $ty),*) {
+        pub(crate) fn $name(tier: Tier, $($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             {
                 #[target_feature(enable = "avx2")]
-                fn avx2($($arg: $ty),*) {
+                fn avx2($($arg: $ty),*) $(-> $ret)? {
                     $body($($arg),*)
                 }
                 #[target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw")]
-                fn avx512($($arg: $ty),*) {
+                fn avx512($($arg: $ty),*) $(-> $ret)? {
                     $body($($arg),*)
                 }
                 match tier.0 {
@@ -144,6 +147,23 @@ tiered! {
     /// [`SegmentAggregates::refresh_max`]'s loop over the max-dirty segments.
     fn refresh_max(segs: &mut SegmentAggregates, delta: &[i64])
         = SegmentAggregates::refresh_max_body;
+}
+
+// The two selection loops are integer-only too, so every tier returns the
+// same masks and the same minimum (`tier_parity_le_masks`,
+// `tier_parity_positive_min`).
+tiered! {
+    /// The per-segment candidate masks `{k : Δ_k ≤ bound}` behind
+    /// `IncrementalState::select_le`.
+    fn le_masks(segs: &SegmentAggregates, delta: &[i64], bound: i64, masks: &mut [u64])
+        = SegmentAggregates::le_masks_body;
+}
+
+tiered! {
+    /// The smallest positive gain behind
+    /// `IncrementalState::positive_min_delta`.
+    fn positive_min(segs: &SegmentAggregates, delta: &[i64]) -> i64
+        = SegmentAggregates::positive_min_body;
 }
 
 #[cfg(test)]
@@ -287,6 +307,104 @@ mod tests {
                         refresh_min(tier, &mut got, &delta);
                         refresh_max(tier, &mut got, &delta);
                         assert_eq!(got, want, "{} n={n} {kind} {set}", tier.name());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Δ arrays of G-set local minima: all zeros, and gains in
+    /// {−1, 0, 1, 2} with at least 90% zeros.
+    fn gset_deltas(n: usize, rng: &mut Xorshift64Star) -> Vec<(&'static str, Vec<i64>)> {
+        vec![
+            ("all zeros", vec![0; n]),
+            (
+                "mostly zero unit gains",
+                (0..n)
+                    .map(|j| {
+                        if j % 10 == 9 {
+                            [-1, 1, 2][rng.next_index(3)]
+                        } else {
+                            0
+                        }
+                    })
+                    .collect(),
+            ),
+        ]
+    }
+
+    /// Aggregates of `delta` with a current min side, the precondition of
+    /// both selection loops. `clean` is reduced from `delta` on both sides.
+    /// `dirty` starts from the aggregates of `stale`, takes one
+    /// tighten-or-mark `update` per gain and then `refresh_min`, so its max
+    /// side stays stale and marked where an update hit a recorded max.
+    fn min_side_current(stale: &[i64], delta: &[i64]) -> Vec<(&'static str, SegmentAggregates)> {
+        let n = delta.len();
+        let mut clean = SegmentAggregates::all_dirty(n);
+        clean.refresh(delta);
+        let mut dirty = SegmentAggregates::all_dirty(n);
+        dirty.refresh(stale);
+        for j in 0..n {
+            dirty.update(j, stale[j], delta[j]);
+        }
+        dirty.refresh_min(delta);
+        vec![("clean", clean), ("dirty", dirty)]
+    }
+
+    #[test]
+    fn tier_parity_le_masks() {
+        let tiers = vector_tiers("tier_parity_le_masks");
+        let mut rng = Xorshift64Star::new(0x1e5);
+        for n in SIZES {
+            let stale: Vec<i64> = (0..n).map(|_| rng.next_range_i64(-50, 50)).collect();
+            let mut arrays = adversarial_deltas(n, &mut rng);
+            arrays.extend(gset_deltas(n, &mut rng));
+            for (kind, delta) in arrays {
+                let lo = *delta.iter().min().unwrap();
+                let hi = *delta.iter().max().unwrap();
+                for (state, segs) in min_side_current(&stale, &delta) {
+                    for bound in [i64::MIN, -1, 0, 1, i64::MAX, lo, hi] {
+                        let mut naive = vec![0u64; seg_count(n)];
+                        for (j, &d) in delta.iter().enumerate() {
+                            naive[j / SEG_WIDTH] |= ((d <= bound) as u64) << (j % SEG_WIDTH);
+                        }
+                        // Poisoned words, so a segment the loop skips shows.
+                        let mut want = vec![!0u64; seg_count(n)];
+                        le_masks(Tier::PORTABLE, &segs, &delta, bound, &mut want);
+                        let label = format!("n={n} {kind} {state} bound={bound}");
+                        assert_eq!(want, naive, "portable {label}");
+                        for &tier in &tiers {
+                            let mut got = vec![!0u64; seg_count(n)];
+                            le_masks(tier, &segs, &delta, bound, &mut got);
+                            assert_eq!(got, want, "{} {label}", tier.name());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tier_parity_positive_min() {
+        let tiers = vector_tiers("tier_parity_positive_min");
+        let mut rng = Xorshift64Star::new(0x905);
+        for n in SIZES {
+            let stale: Vec<i64> = (0..n).map(|_| rng.next_range_i64(-50, 50)).collect();
+            let mut arrays = adversarial_deltas(n, &mut rng);
+            arrays.extend(gset_deltas(n, &mut rng));
+            for (kind, delta) in arrays {
+                let naive = delta
+                    .iter()
+                    .copied()
+                    .filter(|&d| d > 0)
+                    .min()
+                    .unwrap_or(i64::MAX);
+                for (state, segs) in min_side_current(&stale, &delta) {
+                    let want = positive_min(Tier::PORTABLE, &segs, &delta);
+                    assert_eq!(want, naive, "portable n={n} {kind} {state}");
+                    for &tier in &tiers {
+                        let got = positive_min(tier, &segs, &delta);
+                        assert_eq!(got, want, "{} n={n} {kind} {state}", tier.name());
                     }
                 }
             }

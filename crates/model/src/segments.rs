@@ -21,9 +21,16 @@
 //!   slower, see the dense kernel's note),
 //! * a **query** first re-reduces only the dirty segments with chunked,
 //!   branchless loops ([`SegmentAggregates::refresh`]), then answers from
-//!   the `n / 64` aggregates. The loops autovectorize only in the AVX2 and
-//!   AVX-512 clones the crate's instruction-set tier layer compiles them
-//!   into; the baseline `x86_64` (SSE2) build keeps them scalar.
+//!   the `n / 64` aggregates. Where an aggregate cannot settle a segment,
+//!   a threshold selection builds the segment's 64-bit candidate mask
+//!   `{k : Δ_k ≤ bound}` and the smallest-positive query folds the
+//!   segment's positive gains, both branch-free per gain.
+//!
+//! Four of the five loops the crate's instruction-set tier layer compiles
+//! into AVX2 and AVX-512 clones live here: the min/argmin and max
+//! re-reductions, the candidate masks and the positive-min fold (the fifth
+//! is the dense kernel's strip update). They autovectorize only in those
+//! clones; the baseline `x86_64` (SSE2) build keeps them scalar.
 //!
 //! Strategies that never scan (simulated annealing's random proposals, the
 //! Straight walk) pay only the marking cost — a shift and an `or` per
@@ -200,23 +207,6 @@ impl SegmentAggregates {
         self.any_dirty_max = stale;
     }
 
-    /// Store freshly computed aggregates (min, its lowest attaining index,
-    /// max) and clear the segment's dirty bits — the integration point for
-    /// a backend that re-reduces inline during its update pass. No current
-    /// kernel takes that route (the dense backend's fused variant measured
-    /// slower than mark-all + one lazy refresh, see
-    /// `DenseKernel::apply_flip_seg`'s note), so today only tests and the
-    /// trait contract exercise it.
-    #[inline(always)]
-    pub fn set(&mut self, seg: usize, min: i64, argmin: usize, max: i64) {
-        self.mins[seg] = min;
-        self.argmins[seg] = argmin as u32;
-        self.maxs[seg] = max;
-        let clear = !(1u64 << (seg & 63));
-        self.dirty_min[seg >> 6] &= clear;
-        self.dirty_max[seg >> 6] &= clear;
-    }
-
     /// Minimum gain in segment `seg`. Only meaningful after
     /// [`SegmentAggregates::refresh`].
     #[inline(always)]
@@ -294,6 +284,100 @@ impl SegmentAggregates {
                 self.reductions += 1;
             }
         }
+    }
+
+    /// Fill `masks[s]` with segment `s`'s candidate set `{k : Δ_k ≤ bound}`
+    /// (bit `k` stands for gain `64·s + k`), run as the CPU's
+    /// instruction-set tier clone. The min side must be clean (after
+    /// [`Self::refresh_min`]); the max side is never read.
+    pub(crate) fn le_masks(&self, delta: &[i64], bound: i64, masks: &mut [u64]) {
+        debug_assert!(!self.any_dirty_min, "candidate masks from stale mins");
+        isa::le_masks(Tier::detected(), self, delta, bound, masks);
+    }
+
+    /// [`Self::le_masks`]' loop: the body `isa::le_masks` clones.
+    #[inline(always)]
+    pub(crate) fn le_masks_body(&self, delta: &[i64], bound: i64, masks: &mut [u64]) {
+        self.masks_by(delta, masks, |mn| mn <= bound, |d| d <= bound);
+    }
+
+    /// Per-segment candidate masks. `seg_may_hold(min)` may be false only
+    /// when no gain ≥ `min` passes `candidate`, which holds for the same
+    /// test when it is monotone (`candidate(d)` implies `candidate(e)` for
+    /// every `e ≤ d`), as both `Δ ≤ bound` tests are.
+    ///
+    /// Exactness: `masks[s]` holds exactly `{k : candidate(Δ_{64s+k})}`.
+    /// A segment whose aggregate min fails `seg_may_hold` gets the empty
+    /// mask without reading its gains; every other segment sets bit `k`
+    /// from its `k`-th gain with one branch-free test, and the last
+    /// segment, when partial, sets only its `n mod 64` low bits.
+    #[inline(always)]
+    pub(crate) fn masks_by(
+        &self,
+        delta: &[i64],
+        masks: &mut [u64],
+        seg_may_hold: impl Fn(i64) -> bool,
+        candidate: impl Fn(i64) -> bool,
+    ) {
+        debug_assert_eq!(delta.len(), self.n);
+        debug_assert_eq!(masks.len(), self.segments());
+        for (s, mask) in masks.iter_mut().enumerate() {
+            *mask = if seg_may_hold(self.mins[s]) {
+                let (lo, hi) = self.bounds(s);
+                fold_segment(&delta[lo..hi], |c| {
+                    let mut m = 0u64;
+                    for (k, &d) in c.iter().enumerate() {
+                        m |= (candidate(d) as u64) << k;
+                    }
+                    m
+                })
+            } else {
+                0
+            };
+        }
+    }
+
+    /// The smallest strictly positive gain, or `i64::MAX` when no gain is
+    /// positive, run as the CPU's instruction-set tier clone. The min side
+    /// must be clean (after [`Self::refresh_min`]).
+    pub(crate) fn positive_min(&self, delta: &[i64]) -> i64 {
+        debug_assert!(!self.any_dirty_min, "positive min from stale mins");
+        isa::positive_min(Tier::detected(), self, delta)
+    }
+
+    /// [`Self::positive_min`]'s loop: the body `isa::positive_min` clones.
+    ///
+    /// Exactness: the result is the integer minimum over `{Δ_k > 0}`, or
+    /// `i64::MAX` when that set is empty. A segment whose min is positive
+    /// answers from its aggregate alone (its min *is* its smallest
+    /// positive gain). Every other segment holds a gain ≤ 0 and is folded
+    /// branch-free, each gain ≤ 0 entering the fold as `i64::MAX`, the
+    /// fold's identity.
+    #[inline(always)]
+    pub(crate) fn positive_min_body(&self, delta: &[i64]) -> i64 {
+        debug_assert_eq!(delta.len(), self.n);
+        let mut posmin = i64::MAX;
+        for (s, &mn) in self.mins.iter().enumerate() {
+            let seg_posmin = if mn > 0 {
+                mn
+            } else {
+                let (lo, hi) = self.bounds(s);
+                fold_segment(&delta[lo..hi], |c| {
+                    let mut m = i64::MAX;
+                    for &d in c {
+                        let p = if d > 0 { d } else { i64::MAX };
+                        m = if p < m { p } else { m };
+                    }
+                    m
+                })
+            };
+            posmin = if seg_posmin < posmin {
+                seg_posmin
+            } else {
+                posmin
+            };
+        }
+        posmin
     }
 
     /// Lifetime segment re-reductions performed by the lazy refresh paths
@@ -435,16 +519,6 @@ mod tests {
         assert_ne!(s.min_of(0), -9_999, "unmarked segment must not refresh");
         // marking it catches up
         s.mark_bit(0);
-        s.refresh(&delta);
-        s.assert_matches(&delta);
-    }
-
-    #[test]
-    fn set_clears_dirty_for_that_segment() {
-        let delta = random_delta(128, 4);
-        let mut s = SegmentAggregates::all_dirty(128);
-        let (mn, am, mx) = reduce_min_argmin_max(64, &delta[64..128]);
-        s.set(1, mn, am, mx);
         s.refresh(&delta);
         s.assert_matches(&delta);
     }

@@ -38,7 +38,7 @@ pub fn max_min<K: QuboKernel, R: Rng64 + ?Sized>(
         let threshold = min_d as f64 + rng.next_f64() * span.max(0.0);
 
         // Reservoir-sample uniformly among non-tabu bits with
-        // Δ_i ≤ threshold, skipping segments with no candidate. Since
+        // Δ_i ≤ threshold, walking each segment's candidate mask. Since
         // threshold ≥ minΔ a candidate exists unless tabu excludes them
         // all; fall back to the global argmin then.
         let chosen = state.select_le_f64(threshold, rng, |k| !tabu.is_tabu(k));

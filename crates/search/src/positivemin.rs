@@ -22,14 +22,15 @@ pub fn positive_min<K: QuboKernel, R: Rng64 + ?Sized>(
     for _ in 0..total_flips {
         // posmin = smallest positive gain, plus the global argmin for the
         // Step-1 observation — both answered from the segment aggregates
-        // (mixed-sign segments are the only ones scanned element-wise).
+        // (a segment holding a gain ≤ 0 is folded over its gains).
         let (argmin, _) = state.min_delta();
         let posmin = state.positive_min_delta();
         best.observe_neighbor(state, argmin);
         // If no gain is positive, every bit is a candidate (posmin = +∞).
 
-        // Reservoir-sample among non-tabu bits with Δ_i ≤ posmin, skipping
-        // segments whose min exceeds posmin.
+        // Reservoir-sample among non-tabu bits with Δ_i ≤ posmin, walking
+        // each segment's candidate mask (empty when its min exceeds
+        // posmin).
         let chosen = state.select_le(posmin, rng, |k| !tabu.is_tabu(k));
         let bit = chosen.unwrap_or(argmin);
         state.flip(bit);

@@ -2,7 +2,8 @@
 //! solution-vector algebra, and cross-backend kernel parity.
 
 use dabs::model::{
-    IncrementalState, IsingModel, KernelChoice, KernelKind, QuboBuilder, QuboModel, Solution,
+    IncrementalState, IsingModel, KernelChoice, KernelKind, QuboBuilder, QuboKernel, QuboModel,
+    Solution,
 };
 use proptest::prelude::*;
 
@@ -25,6 +26,130 @@ fn density_model(n: usize, density: f64, seed: u64, kernel: KernelChoice) -> Qub
         }
     }
     b.build().unwrap()
+}
+
+/// Max-cut QUBO of a G22-shaped graph: `n` distinct unit edges over `n`
+/// nodes (average degree 2), with dense storage built so both kernels run
+/// on it. Its gains are small integers, many of them exactly 0 at a local
+/// minimum, so most segments hold a gain ≤ 0 and threshold selections keep
+/// large candidate sets: the tie-heavy shape of the G-set instances.
+fn tie_heavy_model(n: usize, seed: u64) -> QuboModel {
+    let mut q = dabs::problems::gset::g22_like(n, n, seed).to_qubo();
+    q.select_kernel(KernelChoice::Dense);
+    q
+}
+
+/// The two selection shapes: a 0.3-density model with ±20 weights (few
+/// ties) and the tie-heavy G22-shaped one, both with dense storage.
+fn selection_models(n: usize, seed: u64) -> [(&'static str, QuboModel); 2] {
+    [
+        (
+            "density 0.3",
+            density_model(n, 0.3, seed, KernelChoice::Dense),
+        ),
+        ("tie-heavy", tie_heavy_model(n, seed)),
+    ]
+}
+
+/// CSR and dense states on `q` from one random start after the same
+/// `steps` random flips (both drawn from `walk_seed`), then, when
+/// `descend`, steepest descent to a local minimum (no negative gain left).
+/// Both kernels give bit-identical gains, so the two states walk and
+/// descend alike.
+fn selection_states(
+    q: &QuboModel,
+    walk_seed: u64,
+    steps: usize,
+    descend: bool,
+) -> (
+    IncrementalState<'_>,
+    IncrementalState<'_, dabs::model::DenseKernel<'_>>,
+) {
+    use dabs::rng::Rng64;
+    let n = q.n();
+    let mut rng = dabs::rng::Xorshift64Star::new(walk_seed);
+    let start = Solution::random(n, &mut rng);
+    let mut csr = IncrementalState::from_solution(q, start.clone());
+    let mut dense = IncrementalState::from_solution_dense(q, start);
+    for _ in 0..steps {
+        let bit = rng.next_index(n);
+        csr.flip(bit);
+        dense.flip(bit);
+    }
+    if descend {
+        descend_to_local_min(&mut csr);
+        descend_to_local_min(&mut dense);
+    }
+    (csr, dense)
+}
+
+/// Flip the lowest-index steepest-descent bit until no gain is negative.
+fn descend_to_local_min<K: QuboKernel>(st: &mut IncrementalState<'_, K>) {
+    loop {
+        let (k, d) = st.min_delta();
+        if d >= 0 {
+            return;
+        }
+        st.flip(k);
+    }
+}
+
+/// `select_le` and `select_le_f64` against the naive full-scan reservoir
+/// on one state: they must pick the same bit and consume the same number
+/// of RNG draws.
+fn check_select_le<K: QuboKernel>(
+    st: &mut IncrementalState<'_, K>,
+    bound: i64,
+    seed: u64,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    use dabs::rng::Rng64;
+    // An arbitrary tabu-ish filter.
+    let blocked = |k: usize| !k.is_multiple_of(5);
+    // i64 bound
+    let mut rng_a = dabs::rng::Xorshift64Star::new(seed ^ 1);
+    let mut rng_b = dabs::rng::Xorshift64Star::new(seed ^ 1);
+    let fast = st.select_le(bound, &mut rng_a, blocked);
+    let mut naive = None;
+    let mut count = 0u64;
+    for (k, &d) in st.deltas().iter().enumerate() {
+        if d <= bound && blocked(k) {
+            count += 1;
+            if rng_b.next_below(count) == 0 {
+                naive = Some(k);
+            }
+        }
+    }
+    prop_assert_eq!(fast, naive, "{} bound {}", label, bound);
+    prop_assert_eq!(
+        rng_a.next_u64(),
+        rng_b.next_u64(),
+        "i64 stream diverged: {}",
+        label
+    );
+    // f64 bound (MaxMin's threshold shape)
+    let fbound = bound as f64 + 0.25;
+    let mut rng_a = dabs::rng::Xorshift64Star::new(seed ^ 2);
+    let mut rng_b = dabs::rng::Xorshift64Star::new(seed ^ 2);
+    let fast = st.select_le_f64(fbound, &mut rng_a, blocked);
+    let mut naive = None;
+    let mut count = 0u64;
+    for (k, &d) in st.deltas().iter().enumerate() {
+        if (d as f64) <= fbound && blocked(k) {
+            count += 1;
+            if rng_b.next_below(count) == 0 {
+                naive = Some(k);
+            }
+        }
+    }
+    prop_assert_eq!(fast, naive, "{} f64 bound {}", label, fbound);
+    prop_assert_eq!(
+        rng_a.next_u64(),
+        rng_b.next_u64(),
+        "f64 stream diverged: {}",
+        label
+    );
+    Ok(())
 }
 
 /// Strategy: a random QUBO with up to `n` variables and bounded weights.
@@ -193,40 +318,43 @@ proptest! {
         // The Δ-segment aggregate layer (min/argmin/max per 64-gain
         // segment, incrementally maintained by tighten-or-mark updates)
         // must equal a fresh full-array reduction after ANY flip sequence,
-        // on BOTH kernel backends, across the parity densities and the
-        // word-boundary sizes that stress partial tail segments.
+        // on BOTH kernel backends, across the parity densities, a
+        // tie-heavy G22-shaped model and the word-boundary sizes that
+        // stress partial tail segments, after the walk and at the greedy
+        // local minimum below it (where the tie-heavy model's segments
+        // mostly hold a gain ≤ 0, so the positive min must fold them).
         // `assert_consistent` refreshes the aggregates and compares every
         // segment against `reduce_min_argmin_max` ground truth.
-        use dabs::rng::Rng64;
         for &n in &[63usize, 64, 65, 128, 129] {
-            for &density in &PARITY_DENSITIES {
-                let q = density_model(n, density, seed ^ n as u64, KernelChoice::Dense);
-                let mut rng = dabs::rng::Xorshift64Star::new(seed ^ 0xA66E);
-                let start = Solution::random(n, &mut rng);
-                let mut csr = IncrementalState::from_solution(&q, start.clone());
-                let mut dense = IncrementalState::from_solution_dense(&q, start);
-                for _ in 0..steps {
-                    let bit = rng.next_index(n);
-                    csr.flip(bit);
-                    dense.flip(bit);
+            let models = PARITY_DENSITIES
+                .iter()
+                .map(|&density| {
+                    let q = density_model(n, density, seed ^ n as u64, KernelChoice::Dense);
+                    (format!("density {density}"), q)
+                })
+                .chain([("tie-heavy".to_string(), tie_heavy_model(n, seed ^ n as u64))]);
+            for (shape, q) in models {
+                for descend in [false, true] {
+                    let (mut csr, mut dense) = selection_states(&q, seed ^ 0xA66E, steps, descend);
+                    csr.assert_consistent();
+                    dense.assert_consistent();
+                    // the aggregate-backed argmin/min/max equal a naive scan
+                    let naive_min = *csr.deltas().iter().min().unwrap();
+                    let naive_arg = csr.deltas().iter().position(|&d| d == naive_min).unwrap();
+                    let naive_max = *csr.deltas().iter().max().unwrap();
+                    let naive = (naive_arg, naive_min, naive_max);
+                    prop_assert_eq!(csr.min_max_argmin(), naive, "{} descend={}", shape, descend);
+                    prop_assert_eq!(dense.min_max_argmin(), naive, "{} descend={}", shape, descend);
+                    let naive_posmin = csr
+                        .deltas()
+                        .iter()
+                        .copied()
+                        .filter(|&d| d > 0)
+                        .min()
+                        .unwrap_or(i64::MAX);
+                    prop_assert_eq!(csr.positive_min_delta(), naive_posmin, "{} descend={}", shape, descend);
+                    prop_assert_eq!(dense.positive_min_delta(), naive_posmin, "{} descend={}", shape, descend);
                 }
-                csr.assert_consistent();
-                dense.assert_consistent();
-                // the aggregate-backed argmin/min/max equal a naive scan
-                let naive_min = *csr.deltas().iter().min().unwrap();
-                let naive_arg = csr.deltas().iter().position(|&d| d == naive_min).unwrap();
-                let naive_max = *csr.deltas().iter().max().unwrap();
-                prop_assert_eq!(csr.min_max_argmin(), (naive_arg, naive_min, naive_max));
-                prop_assert_eq!(dense.min_max_argmin(), (naive_arg, naive_min, naive_max));
-                let naive_posmin = csr
-                    .deltas()
-                    .iter()
-                    .copied()
-                    .filter(|&d| d > 0)
-                    .min()
-                    .unwrap_or(i64::MAX);
-                prop_assert_eq!(csr.positive_min_delta(), naive_posmin);
-                prop_assert_eq!(dense.positive_min_delta(), naive_posmin);
             }
         }
     }
@@ -239,53 +367,24 @@ proptest! {
         bound_off in -4i64..10,
     ) {
         // `select_le` must pick the SAME bit as the naive full-scan
-        // reservoir AND consume the SAME number of RNG draws (skipped
-        // segments hold no candidates, so no draw is elided) — the
-        // property that keeps whole trajectories bit-identical.
-        use dabs::rng::Rng64;
-        let q = density_model(n, 0.3, seed, KernelChoice::Csr);
-        let mut rng = dabs::rng::Xorshift64Star::new(seed ^ 0x5E1E_C700);
-        let mut st = IncrementalState::from_solution(&q, Solution::random(n, &mut rng));
-        for _ in 0..steps {
-            let bit = rng.next_index(n);
-            st.flip(bit);
-        }
-        let (_, min_d) = st.min_delta();
-        let bound = min_d.saturating_add(bound_off);
-        let blocked = |k: usize| !k.is_multiple_of(5); // arbitrary tabu-ish filter
-        // i64 bound
-        let mut rng_a = dabs::rng::Xorshift64Star::new(seed ^ 1);
-        let mut rng_b = dabs::rng::Xorshift64Star::new(seed ^ 1);
-        let fast = st.select_le(bound, &mut rng_a, blocked);
-        let mut naive = None;
-        let mut count = 0u64;
-        for (k, &d) in st.deltas().iter().enumerate() {
-            if d <= bound && blocked(k) {
-                count += 1;
-                if rng_b.next_below(count) == 0 {
-                    naive = Some(k);
+        // reservoir AND consume the SAME number of RNG draws (only
+        // candidates are drawn for, as in the scan) — the property that
+        // keeps whole trajectories bit-identical. Both selection shapes,
+        // both kernels, at random-walk states and at greedy local minima,
+        // against a bound near the minimum and PositiveMin's posmin.
+        for (shape, q) in selection_models(n, seed) {
+            for descend in [false, true] {
+                let (mut csr, mut dense) =
+                    selection_states(&q, seed ^ 0x5E1E_C700, steps, descend);
+                let (_, min_d) = csr.min_delta();
+                let posmin = csr.positive_min_delta();
+                for bound in [min_d.saturating_add(bound_off), posmin] {
+                    let label = format!("{shape} n={n} descend={descend}");
+                    check_select_le(&mut csr, bound, seed, &format!("csr {label}"))?;
+                    check_select_le(&mut dense, bound, seed, &format!("dense {label}"))?;
                 }
             }
         }
-        prop_assert_eq!(fast, naive);
-        prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "i64 stream diverged");
-        // f64 bound (MaxMin's threshold shape)
-        let fbound = bound as f64 + 0.25;
-        let mut rng_a = dabs::rng::Xorshift64Star::new(seed ^ 2);
-        let mut rng_b = dabs::rng::Xorshift64Star::new(seed ^ 2);
-        let fast = st.select_le_f64(fbound, &mut rng_a, blocked);
-        let mut naive = None;
-        let mut count = 0u64;
-        for (k, &d) in st.deltas().iter().enumerate() {
-            if (d as f64) <= fbound && blocked(k) {
-                count += 1;
-                if rng_b.next_below(count) == 0 {
-                    naive = Some(k);
-                }
-            }
-        }
-        prop_assert_eq!(fast, naive);
-        prop_assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "f64 stream diverged");
     }
 
     #[test]

@@ -205,16 +205,16 @@ fn energies_are_internally_consistent_across_solvers() {
 /// `dabs_search::reference` — from identical states under identical RNG
 /// streams, and demand bit-identical outcomes: final vector, energy, flip
 /// count, best-tracker contents, and RNG stream position.
-fn assert_strategy_parity(n: usize, density: f64, seed: u64, flips: u64, which: &str) {
+fn assert_strategy_parity(q: &QuboModel, instance: &str, seed: u64, flips: u64, which: &str) {
     use dabs::model::{BestTracker, IncrementalState, Solution};
     use dabs::search::{reference, TabuList};
 
-    let q = random_model(n, density, seed);
+    let n = q.n();
     let mut start_rng = Xorshift64Star::new(seed ^ 0x57A7);
     let start = Solution::random(n, &mut start_rng);
 
-    let mut st_seg = IncrementalState::from_solution(&q, start.clone());
-    let mut st_scan = IncrementalState::from_solution(&q, start);
+    let mut st_seg = IncrementalState::from_solution(q, start.clone());
+    let mut st_scan = IncrementalState::from_solution(q, start);
     let mut best_seg = BestTracker::unbounded(n);
     let mut best_scan = BestTracker::unbounded(n);
     let mut tabu_seg = TabuList::new(n, 8);
@@ -282,7 +282,7 @@ fn assert_strategy_parity(n: usize, density: f64, seed: u64, flips: u64, which: 
         other => panic!("unknown strategy {other}"),
     }
 
-    let label = format!("{which} n={n} density={density} seed={seed}");
+    let label = format!("{which} {instance} seed={seed}");
     assert_eq!(st_seg.solution(), st_scan.solution(), "{label}: vector");
     assert_eq!(st_seg.energy(), st_scan.energy(), "{label}: energy");
     assert_eq!(st_seg.flips(), st_scan.flips(), "{label}: flip accounting");
@@ -304,61 +304,126 @@ fn assert_strategy_parity(n: usize, density: f64, seed: u64, flips: u64, which: 
     st_seg.assert_consistent();
 }
 
+/// The G-set shapes of perfbench's `tts_paper` instance set: average
+/// degree ≈ 2 with unit (G22) and ±1 (G39) weights. Their gains are small
+/// integers, many exactly 0, so at a local minimum most segments hold a
+/// gain ≤ 0 and threshold selections keep large candidate sets.
+fn gset_shapes() -> [(&'static str, QuboModel, u64); 2] {
+    use dabs::problems::gset;
+    [
+        (
+            "g22_like(200, 200)",
+            gset::g22_like(200, 200, 22).to_qubo(),
+            2_200,
+        ),
+        (
+            "g39_like(300, 270)",
+            gset::g39_like(300, 270, 39).to_qubo(),
+            3_900,
+        ),
+    ]
+}
+
 #[test]
 fn segment_strategies_are_bit_identical_to_the_scan_reference() {
     // Word-boundary sizes stress partial tail segments; the density spread
-    // covers tie-heavy and spread-out Δ distributions.
-    for &(n, density) in &[
+    // covers tie-heavy and spread-out Δ distributions, and the G-set shapes
+    // the mostly-zero gains of sparse unit-weight instances.
+    let mut cases: Vec<(String, QuboModel, u64)> = [
         (63usize, 0.1),
         (64, 0.5),
         (65, 0.9),
         (129, 0.05),
         (200, 0.3),
-    ] {
+    ]
+    .into_iter()
+    .map(|(n, density)| {
+        let seed = 1_000 + n as u64;
+        let q = random_model(n, density, seed);
+        (format!("n={n} density={density}"), q, seed)
+    })
+    .collect();
+    cases.extend(
+        gset_shapes()
+            .into_iter()
+            .map(|(name, q, seed)| (name.to_string(), q, seed)),
+    );
+    for (instance, q, seed) in &cases {
         for which in ["maxmin", "positivemin", "randommin", "cyclicmin", "greedy"] {
-            assert_strategy_parity(n, density, 1_000 + n as u64, 1_500, which);
+            assert_strategy_parity(q, instance, *seed, 1_500, which);
         }
     }
 }
 
 #[test]
 fn segment_batch_composite_is_bit_identical_to_the_scan_reference() {
-    // The §III-B shape: alternating greedy descents and PositiveMin legs,
-    // as BatchSearch runs between targets — the production flip loop.
+    // The §III-B shape: alternating greedy descents and main-algorithm
+    // legs, as BatchSearch runs between targets — the production flip
+    // loop — with a PositiveMin and a MaxMin leg per round, on a spread
+    // random instance and on the G-set shapes.
     use dabs::model::{BestTracker, IncrementalState, Solution};
     use dabs::search::{reference, TabuList};
 
-    let n = 150;
-    let q = random_model(n, 0.2, 77);
-    let mut start_rng = Xorshift64Star::new(78);
-    let start = Solution::random(n, &mut start_rng);
-    let mut st_seg = IncrementalState::from_solution(&q, start.clone());
-    let mut st_scan = IncrementalState::from_solution(&q, start);
-    let mut best_seg = BestTracker::unbounded(n);
-    let mut best_scan = BestTracker::unbounded(n);
-    let mut tabu_seg = TabuList::new(n, 8);
-    let mut tabu_scan = TabuList::new(n, 8);
-    let mut rng_seg = Xorshift64Star::new(79);
-    let mut rng_scan = Xorshift64Star::new(79);
-    let leg = (n as u64).div_ceil(10);
-    for _ in 0..25 {
-        dabs::search::greedy(&mut st_seg, &mut best_seg, &mut tabu_seg, u64::MAX);
-        reference::greedy_scan(&mut st_scan, &mut best_scan, &mut tabu_scan, u64::MAX);
-        dabs::search::positive_min(&mut st_seg, &mut best_seg, &mut tabu_seg, &mut rng_seg, leg);
-        reference::positive_min_scan(
-            &mut st_scan,
-            &mut best_scan,
-            &mut tabu_scan,
-            &mut rng_scan,
-            leg,
-        );
-        assert_eq!(st_seg.solution(), st_scan.solution());
-        assert_eq!(st_seg.flips(), st_scan.flips());
-        assert_eq!(rng_seg.next_u64(), rng_scan.next_u64());
+    let mut cases = vec![("n=150 density=0.2", random_model(150, 0.2, 77), 77u64)];
+    cases.extend(gset_shapes());
+    for (instance, q, seed) in cases {
+        let n = q.n();
+        let mut start_rng = Xorshift64Star::new(seed + 1);
+        let start = Solution::random(n, &mut start_rng);
+        let mut st_seg = IncrementalState::from_solution(&q, start.clone());
+        let mut st_scan = IncrementalState::from_solution(&q, start);
+        let mut best_seg = BestTracker::unbounded(n);
+        let mut best_scan = BestTracker::unbounded(n);
+        let mut tabu_seg = TabuList::new(n, 8);
+        let mut tabu_scan = TabuList::new(n, 8);
+        let mut rng_seg = Xorshift64Star::new(seed + 2);
+        let mut rng_scan = Xorshift64Star::new(seed + 2);
+        let leg = (n as u64).div_ceil(10);
+        for round in 0..25 {
+            for main in ["positivemin", "maxmin"] {
+                dabs::search::greedy(&mut st_seg, &mut best_seg, &mut tabu_seg, u64::MAX);
+                reference::greedy_scan(&mut st_scan, &mut best_scan, &mut tabu_scan, u64::MAX);
+                if main == "positivemin" {
+                    dabs::search::positive_min(
+                        &mut st_seg,
+                        &mut best_seg,
+                        &mut tabu_seg,
+                        &mut rng_seg,
+                        leg,
+                    );
+                    reference::positive_min_scan(
+                        &mut st_scan,
+                        &mut best_scan,
+                        &mut tabu_scan,
+                        &mut rng_scan,
+                        leg,
+                    );
+                } else {
+                    dabs::search::max_min(
+                        &mut st_seg,
+                        &mut best_seg,
+                        &mut tabu_seg,
+                        &mut rng_seg,
+                        leg,
+                    );
+                    reference::max_min_scan(
+                        &mut st_scan,
+                        &mut best_scan,
+                        &mut tabu_scan,
+                        &mut rng_scan,
+                        leg,
+                    );
+                }
+                let label = format!("{instance} round {round} {main}");
+                assert_eq!(st_seg.solution(), st_scan.solution(), "{label}: vector");
+                assert_eq!(st_seg.flips(), st_scan.flips(), "{label}: flips");
+                assert_eq!(rng_seg.next_u64(), rng_scan.next_u64(), "{label}: RNG");
+            }
+        }
+        assert_eq!(best_seg.energy(), best_scan.energy(), "{instance}");
+        assert_eq!(best_seg.solution(), best_scan.solution(), "{instance}");
+        st_seg.assert_consistent();
     }
-    assert_eq!(best_seg.energy(), best_scan.energy());
-    assert_eq!(best_seg.solution(), best_scan.solution());
-    st_seg.assert_consistent();
 }
 
 #[test]
