@@ -1517,8 +1517,7 @@ pub mod obs_overhead {
 pub mod server_load {
     use super::*;
     use dabs_server::{
-        drive_fleet, Client, ExecMode, JobSpec, LatencySummary, PoolLoad, ProblemSpec, Server,
-        ServerConfig,
+        drive_fleet, Client, JobSpec, LatencySummary, PoolLoad, ProblemSpec, Server, ServerConfig,
     };
     use std::time::Instant;
 
@@ -1591,7 +1590,6 @@ pub mod server_load {
                 .submit(&JobSpec {
                     problem: ProblemSpec::random(spec.n, 999),
                     seed: 999,
-                    mode: ExecMode::Sequential,
                     max_batches: Some(spec.batches),
                     ..JobSpec::default()
                 })
@@ -1607,7 +1605,6 @@ pub mod server_load {
             JobSpec {
                 problem: ProblemSpec::random(n, job_seed),
                 seed: job_seed,
-                mode: ExecMode::Sequential,
                 max_batches: Some(batches),
                 ..JobSpec::default()
             }
@@ -1732,7 +1729,7 @@ pub mod server_load {
     pub struct ElasticOutcome {
         pub unloaded: LatencySummary,
         pub loaded: LatencySummary,
-        /// Pool gauges read after the loaded pass (steal/split counters).
+        /// Pool gauges read after the loaded pass (the split counter).
         pub load: PoolLoad,
         /// Terminal phase of the saturating job after the closing cancel.
         pub large_phase: String,
@@ -1770,7 +1767,6 @@ pub mod server_load {
                 JobSpec {
                     problem: ProblemSpec::random(n, job_seed),
                     seed: job_seed,
-                    mode: ExecMode::Sequential,
                     max_batches: Some(batches),
                     ..JobSpec::default()
                 }
@@ -1787,7 +1783,6 @@ pub mod server_load {
             .submit(&JobSpec {
                 problem: ProblemSpec::random(fleet.n, 999),
                 seed: 999,
-                mode: ExecMode::Sequential,
                 max_batches: Some(fleet.batches),
                 ..JobSpec::default()
             })
@@ -1802,7 +1797,6 @@ pub mod server_load {
             .submit(&JobSpec {
                 problem: ProblemSpec::random(spec.large_n, fleet.seed ^ 0x9e37),
                 seed: fleet.seed ^ 0x9e37,
-                mode: ExecMode::Sequential,
                 max_batches: Some(spec.large_batches),
                 units: Some(spec.large_units),
                 priority: -1,
@@ -1887,12 +1881,6 @@ pub mod server_load {
                     tput = tput.gated(0.6);
                 }
                 out.push(tput);
-                out.push(Metric::new(
-                    "steals",
-                    o.load.steals as f64,
-                    "count",
-                    Direction::HigherIsBetter,
-                ));
                 out.push(Metric::new(
                     "splits",
                     o.load.splits as f64,

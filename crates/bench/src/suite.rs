@@ -195,7 +195,7 @@ pub fn registry() -> Vec<SuiteEntry> {
             name: "server_load",
             family: Family::Server,
             about: "small-job p99 isolation under a saturating decomposed job + elastic-pool \
-                    scaling contract (steals/splits from the pool gauges)",
+                    scaling contract (splits from the pool gauges)",
             context: CTX_SOLVER,
             run: scenarios::server_load::load_entry,
         },

@@ -7,8 +7,8 @@ use dabs_baselines::sa::{SaConfig, SimulatedAnnealing};
 use dabs_baselines::sb::{SbConfig, SimulatedBifurcation};
 use dabs_core::{DabsConfig, DabsSolver, Incumbent, IncumbentObserver, Termination};
 use dabs_server::{
-    drive_fleet, timeline_to_chrome, Client, ExecMode, JobSpec, LatencySummary, PoolLoad,
-    ProblemSpec, Server, ServerConfig, TimelineEvent, TimelineKind,
+    drive_fleet, timeline_to_chrome, Client, JobSpec, LatencySummary, PoolLoad, ProblemSpec,
+    Server, ServerConfig, TimelineEvent, TimelineKind,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -180,8 +180,8 @@ pub fn loadgen_from_args(args: &[String]) -> Result<(), String> {
     }
 
     // --watch-pool: a side thread polls `stats` on its own connection and
-    // prints pool load plus per-interval steal/split deltas while the
-    // fleet runs.
+    // prints pool load plus per-interval split deltas while the fleet
+    // runs.
     let stop = Arc::new(AtomicBool::new(false));
     let watcher = opts.watch_pool.map(|interval_ms| {
         let addr = addr.clone();
@@ -196,7 +196,6 @@ pub fn loadgen_from_args(args: &[String]) -> Result<(), String> {
         JobSpec {
             problem: ProblemSpec::random(n, seed),
             seed,
-            mode: ExecMode::Sequential,
             max_batches: Some(batches),
             ..JobSpec::default()
         }
@@ -230,15 +229,12 @@ fn watch_pool_loop(addr: &str, interval_ms: u64, stop: &AtomicBool) {
     while !stop.load(Ordering::Relaxed) {
         let Ok(response) = client.stats() else { return };
         if let Some(load) = PoolLoad::from_stats(&response) {
-            let (d_steals, d_splits) = match last {
-                Some(prev) => (
-                    load.steals.saturating_sub(prev.steals),
-                    load.splits.saturating_sub(prev.splits),
-                ),
-                None => (load.steals, load.splits),
+            let d_splits = match last {
+                Some(prev) => load.splits.saturating_sub(prev.splits),
+                None => load.splits,
             };
             eprintln!(
-                "watch-pool: {} · Δ{interval_ms}ms: +{d_steals} steals +{d_splits} splits",
+                "watch-pool: {} · Δ{interval_ms}ms: +{d_splits} splits",
                 load.report()
             );
             last = Some(load);

@@ -218,7 +218,7 @@ pub struct LoadgenOptions {
     /// Workers for the in-process server (ignored with `--addr`).
     pub workers: usize,
     pub seed: u64,
-    /// Print pool-load snapshots (with steal/split deltas) every N ms
+    /// Print pool-load snapshots (with split deltas) every N ms
     /// while the fleet runs.
     pub watch_pool: Option<u64>,
     /// Connection-scaling mode: hold this many extra idle connections open

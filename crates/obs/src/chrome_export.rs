@@ -6,11 +6,9 @@
 //! complete spans and an `args` object). Written by hand — this crate has
 //! no serializer dependency — with full string escaping.
 
-use crate::trace::TraceEvent;
-
-/// One exportable trace event with owned strings, so callers outside the
-/// hot path (e.g. a CLI reconstructing a job timeline fetched over the
-/// wire) can build events from dynamic data.
+/// One exportable trace event with owned strings, so callers (e.g. a CLI
+/// reconstructing a job timeline fetched over the wire) can build events
+/// from dynamic data.
 #[derive(Debug, Clone)]
 pub struct ChromeEvent {
     /// Event name.
@@ -30,25 +28,6 @@ pub struct ChromeEvent {
     pub tid: u64,
     /// Numeric arguments, shown in the trace viewer's detail pane.
     pub args: Vec<(String, i64)>,
-}
-
-impl From<&TraceEvent> for ChromeEvent {
-    fn from(ev: &TraceEvent) -> Self {
-        let mut args = vec![("id".to_string(), ev.id as i64)];
-        if !ev.arg_name.is_empty() {
-            args.push((ev.arg_name.to_string(), ev.arg));
-        }
-        ChromeEvent {
-            name: ev.name.to_string(),
-            cat: ev.cat.to_string(),
-            ph: ev.ph.code(),
-            ts_us: ev.ts_us,
-            dur_us: ev.dur_us,
-            pid: 1,
-            tid: ev.tid,
-            args,
-        }
-    }
 }
 
 /// Escape `s` for inclusion in a JSON string literal. The output is pure
@@ -261,16 +240,5 @@ mod tests {
         let close = doc.matches('}').count();
         assert_eq!(open, close);
         assert_eq!(doc.matches("\"name\"").count(), 10);
-    }
-
-    #[test]
-    fn ring_events_convert() {
-        let t = crate::Tracer::with_capacity(8);
-        t.instant("admitted", "job", 0, 9);
-        let snap = t.snapshot();
-        let chrome: Vec<ChromeEvent> = snap.events.iter().map(ChromeEvent::from).collect();
-        let doc = write_trace(&chrome);
-        assert!(doc.contains("\"name\":\"admitted\""));
-        assert!(doc.contains("\"id\":9"));
     }
 }

@@ -1,7 +1,7 @@
 //! `dabs-obs` — zero-dependency observability core for the DABS stack.
 //!
 //! Every other crate in the workspace (core, model, server, bench, cli)
-//! records into this one, so it depends on nothing but `std`. Three
+//! records into this one, so it depends on nothing but `std`. Two
 //! building blocks:
 //!
 //! * **Metrics** ([`Counter`], [`Gauge`], [`LogHistogram`]) — lock-free
@@ -9,13 +9,10 @@
 //!   percentile queries over HDR-style log-bucketed counts (power-of-2
 //!   major buckets × 8 linear sub-buckets, ≤ 12.5 % relative error,
 //!   saturating overflow bucket).
-//! * **Tracing** ([`Tracer`], [`TraceEvent`]) — a bounded ring buffer of
-//!   `Copy` events with `&'static str` names. Recording never blocks and
-//!   never panics: a slot that cannot be claimed immediately, or an event
-//!   overwritten by wrap-around, increments a drop counter instead.
-//! * **Export** ([`chrome`]) — the Chrome `trace_event` JSON format
-//!   (loadable in `chrome://tracing` and Perfetto), written by hand so the
-//!   crate stays dependency-free.
+//! * **Export** ([`chrome`]) — [`ChromeEvent`]s written in the Chrome
+//!   `trace_event` JSON format (loadable in `chrome://tracing` and
+//!   Perfetto), by hand so the crate stays dependency-free. The server
+//!   builds them from a job's recorded timeline (`dabs trace`).
 //!
 //! The bridge from these snapshot types to `core::stats::MetricSet` lives
 //! in `dabs-core` (this crate cannot see `Metric` without creating a
@@ -26,15 +23,11 @@
 pub mod chrome_export;
 mod counter;
 mod hist;
-mod trace;
 
 pub use chrome_export as chrome;
 pub use chrome_export::ChromeEvent;
 pub use counter::{Counter, Gauge};
 pub use hist::{HistSnapshot, LogHistogram, HIST_BUCKETS, HIST_OVERFLOW_FLOOR};
-pub use trace::{
-    global, Phase, SpanTimer, TraceEvent, TraceSnapshot, Tracer, DEFAULT_TRACE_CAPACITY,
-};
 
 /// Sampling shift used by hot-loop instrumentation across the workspace:
 /// shared atomics are touched once every `2^OBS_SAMPLE_SHIFT` batches, so

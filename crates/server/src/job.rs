@@ -141,14 +141,6 @@ struct UnitBook {
     merged: Option<UnitOutcome>,
 }
 
-/// Best solution seen by any unit so far; the warm-start source for
-/// incumbent broadcast between units of the same job.
-#[derive(Debug, Default)]
-struct IncumbentStore {
-    energy: Option<i64>,
-    solution: Option<Solution>,
-}
-
 /// Cap on retained timeline events per job. Past it, new events only move
 /// the drop counter — a runaway incumbent stream cannot grow a record
 /// unboundedly.
@@ -186,7 +178,9 @@ pub struct JobRecord {
     state: Mutex<JobState>,
     terminal_cv: Condvar,
     watchers: Mutex<Vec<Watcher>>,
-    incumbent: Mutex<IncumbentStore>,
+    /// Best `(solution, energy)` seen by any unit so far; the warm-start
+    /// source for incumbent broadcast between units of the same job.
+    incumbent: Mutex<Option<(Solution, i64)>>,
     units: Mutex<UnitBook>,
     timeline: Mutex<TimelineLog>,
     /// The model shared by every unit of the job (see [`JobRecord::model`]).
@@ -224,7 +218,7 @@ impl JobRecord {
             }),
             terminal_cv: Condvar::new(),
             watchers: Mutex::new(Vec::new()),
-            incumbent: Mutex::new(IncumbentStore::default()),
+            incumbent: Mutex::new(None),
             units: Mutex::new(UnitBook::default()),
             timeline: Mutex::new(TimelineLog::default()),
             model: Mutex::new(ModelSlot::Pending),
@@ -295,42 +289,18 @@ impl JobRecord {
         JobPhase::Cancelled
     }
 
-    /// Worker claim: `Queued → Running`. Fails when the job went terminal
-    /// while waiting (cancelled in queue).
-    pub fn mark_running(&self) -> bool {
-        let mut st = self.state.lock().expect("job state lock");
-        if st.phase == JobPhase::Queued {
-            st.phase = JobPhase::Running;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Worker-side incumbent delivery: records the energy and fans the line
+    /// Worker-side incumbent delivery: stores the solution (later units of
+    /// this job warm-start from it), records the energy, and fans the line
     /// out to subscribers. With many units publishing concurrently, each
     /// unit's observer stream is only *locally* improving, so the store lock
     /// both filters non-improvements and serializes the fan-out — every
     /// subscriber still sees a strictly improving sequence.
-    pub fn publish_incumbent(&self, energy: i64, found_at: Duration) {
-        self.offer(None, energy, found_at);
-    }
-
-    /// Like [`JobRecord::publish_incumbent`], but also stores the solution
-    /// so later units of this job can warm-start from it.
     pub fn offer_incumbent(&self, solution: &Solution, energy: i64, found_at: Duration) {
-        self.offer(Some(solution), energy, found_at);
-    }
-
-    fn offer(&self, solution: Option<&Solution>, energy: i64, found_at: Duration) {
         let mut inc = self.incumbent.lock().expect("incumbent lock");
-        if inc.energy.is_some_and(|e| energy >= e) {
+        if inc.as_ref().is_some_and(|(_, e)| energy >= *e) {
             return;
         }
-        inc.energy = Some(energy);
-        if let Some(s) = solution {
-            inc.solution = Some(s.clone());
-        }
+        *inc = Some((solution.clone(), energy));
         self.best.fetch_min(energy, Ordering::Relaxed);
         self.push_timeline(TimelineKind::Incumbent { energy });
         let line = Response::Incumbent {
@@ -344,14 +314,10 @@ impl JobRecord {
     }
 
     /// Snapshot of the job-wide best `(solution, energy)` — what a freshly
-    /// dispatched or stolen unit warm-starts from. `None` until a unit has
-    /// published a solution-carrying incumbent.
+    /// dispatched unit warm-starts from. `None` until a unit has offered an
+    /// incumbent.
     pub fn incumbent(&self) -> Option<(Solution, i64)> {
-        let inc = self.incumbent.lock().expect("incumbent lock");
-        match (&inc.solution, inc.energy) {
-            (Some(s), Some(e)) => Some((s.clone(), e)),
-            _ => None,
-        }
+        self.incumbent.lock().expect("incumbent lock").clone()
     }
 
     /// The job's model, shared by every unit. The first unit to ask takes
@@ -402,7 +368,7 @@ impl JobRecord {
     }
 
     /// In-job split: a running unit carved off part of its remaining budget
-    /// as a new stealable unit. Returns `false` (and registers nothing) if
+    /// as a new queued unit. Returns `false` (and registers nothing) if
     /// the job is already terminal.
     pub fn add_split_unit(&self) -> bool {
         let st = self.state.lock().expect("job state lock");
@@ -924,13 +890,31 @@ mod tests {
         })
     }
 
+    /// Plan the job as one unit and claim it the way a pool worker does;
+    /// `false` when the job was already terminal.
+    fn claim(r: &Arc<JobRecord>) -> bool {
+        r.plan_units(1);
+        r.begin_unit().is_some()
+    }
+
+    /// Claim the job's one unit and fold it as completed with no outcome:
+    /// the job ends `done`.
+    fn complete(r: &Arc<JobRecord>) {
+        assert!(claim(r), "job {} was not claimable", r.id);
+        r.finish_unit(UnitEnd::Completed, None, None);
+    }
+
+    fn offer(r: &JobRecord, energy: i64, at_ms: u64) {
+        r.offer_incumbent(&Solution::zeros(4), energy, Duration::from_millis(at_ms));
+    }
+
     #[test]
     fn cancel_while_queued_is_immediately_terminal() {
         let r = record();
         assert_eq!(r.phase(), JobPhase::Queued);
         assert_eq!(r.request_cancel(), JobPhase::Cancelled);
         assert!(r.stop.is_stopped());
-        assert!(!r.mark_running(), "worker must skip a cancelled job");
+        assert!(!claim(&r), "worker must skip a cancelled job");
         assert!(r.wait_terminal(Duration::from_millis(10)));
     }
 
@@ -954,12 +938,17 @@ mod tests {
         let reg = JobRegistry::new();
         for _ in 0..200 {
             let r = reg.register(spec.clone());
+            r.plan_units(1);
             let worker = {
                 let r = Arc::clone(&r);
                 let result = result.clone();
                 std::thread::spawn(move || {
-                    if r.mark_running() {
-                        r.finish(JobPhase::Done, Some(result), None);
+                    if r.begin_unit().is_some() {
+                        let outcome = UnitOutcome {
+                            result,
+                            found: true,
+                        };
+                        r.finish_unit(UnitEnd::Completed, Some(outcome), None);
                         true
                     } else {
                         false
@@ -985,8 +974,7 @@ mod tests {
     #[test]
     fn finish_is_idempotent_first_wins() {
         let r = record();
-        assert!(r.mark_running());
-        r.finish(JobPhase::Done, None, None);
+        complete(&r);
         r.finish(JobPhase::Failed, None, Some("late".into()));
         let (phase, _, error) = r.snapshot();
         assert_eq!(phase, JobPhase::Done);
@@ -996,8 +984,7 @@ mod tests {
     #[test]
     fn watcher_on_terminal_job_gets_done_line_immediately() {
         let r = record();
-        r.mark_running();
-        r.finish(JobPhase::Done, None, None);
+        complete(&r);
         let (tx, rx) = channel();
         r.add_watcher(Arc::new(tx), WatchKind::ResultOnly);
         let line = rx.try_recv().expect("immediate done line");
@@ -1007,17 +994,17 @@ mod tests {
     #[test]
     fn subscriber_gets_snapshot_then_incumbents_then_done() {
         let r = record();
-        r.mark_running();
-        r.publish_incumbent(-5, Duration::from_millis(1));
+        assert!(claim(&r));
+        offer(&r, -5, 1);
         let (tx, rx) = channel();
         r.add_watcher(Arc::new(tx), WatchKind::Subscribe);
         // snapshot of the pre-subscription best
         let snap = Response::parse_line(&rx.try_recv().unwrap()).unwrap();
         assert!(matches!(snap, Response::Incumbent { energy: -5, .. }));
-        r.publish_incumbent(-9, Duration::from_millis(2));
+        offer(&r, -9, 2);
         let inc = Response::parse_line(&rx.try_recv().unwrap()).unwrap();
         assert!(matches!(inc, Response::Incumbent { energy: -9, .. }));
-        r.finish(JobPhase::Done, None, None);
+        r.finish_unit(UnitEnd::Completed, None, None);
         let done = Response::parse_line(&rx.try_recv().unwrap()).unwrap();
         assert!(matches!(done, Response::Done { .. }));
     }
@@ -1025,12 +1012,13 @@ mod tests {
     #[test]
     fn result_only_watcher_skips_incumbents() {
         let r = record();
-        r.mark_running();
+        assert!(claim(&r));
         let (tx, rx) = channel();
         r.add_watcher(Arc::new(tx), WatchKind::ResultOnly);
-        r.publish_incumbent(-3, Duration::from_millis(1));
+        offer(&r, -3, 1);
         assert!(rx.try_recv().is_err(), "no incumbent for result watchers");
-        r.finish(JobPhase::Cancelled, None, None);
+        // A unit cut short by a cancel folds the job `cancelled`.
+        r.finish_unit(UnitEnd::Interrupted, None, None);
         let line = rx.try_recv().unwrap();
         assert!(line.contains("cancelled"), "{line}");
     }
@@ -1044,8 +1032,7 @@ mod tests {
                 max_batches: Some(1),
                 ..JobSpec::default()
             });
-            r.mark_running();
-            r.finish(JobPhase::Done, None, None);
+            complete(&r);
             ids.push(r.id);
         }
         // Live map stays bounded; the finished total does not lose jobs.
@@ -1083,9 +1070,9 @@ mod tests {
             worker: 0,
             queue_wait_us: 5,
         });
-        r.publish_incumbent(-7, Duration::from_millis(1));
-        r.publish_incumbent(-3, Duration::from_millis(2)); // non-improvement: no event
-        r.finish(JobPhase::Done, None, None);
+        offer(&r, -7, 1);
+        offer(&r, -3, 2); // non-improvement: no event
+        r.finish_unit(UnitEnd::Completed, None, None);
         let (events, dropped) = r.timeline_snapshot();
         assert_eq!(dropped, 0);
         let kinds: Vec<&TimelineKind> = events.iter().map(|e| &e.kind).collect();
@@ -1128,8 +1115,7 @@ mod tests {
         });
         assert_ne!(a.id, b.id);
         assert_eq!(reg.phase_counts(), (2, 0, 0));
-        b.mark_running();
-        b.finish(JobPhase::Done, None, None);
+        complete(&b);
         assert_eq!(reg.phase_counts(), (1, 0, 1));
         reg.evict(a.id);
         assert!(reg.get(a.id).is_none());
@@ -1152,8 +1138,7 @@ mod tests {
             Registered::Duplicate(_) => panic!("fresh key must be new"),
         };
         // Same key collapses — even after the job went terminal.
-        first.mark_running();
-        first.finish(JobPhase::Done, None, None);
+        complete(&first);
         match reg.register_keyed(keyed_spec("req-1")) {
             Registered::Duplicate(r) => assert_eq!(r.id, first.id),
             Registered::New(_) => panic!("duplicate key must not re-admit"),
@@ -1287,8 +1272,8 @@ mod tests {
             max_batches: Some(1),
             ..JobSpec::default()
         });
-        r.mark_running();
-        r.finish(JobPhase::Failed, None, Some("boom".into()));
+        assert!(claim(&r));
+        r.finish_unit(UnitEnd::Failed, None, Some("boom".into()));
         r.finish(JobPhase::Done, None, None); // late duplicate: no second fire
         let events = seen.lock().unwrap();
         assert_eq!(

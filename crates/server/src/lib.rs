@@ -5,11 +5,11 @@
 //! a one-shot CLI process into a service:
 //!
 //! * **Elastic pool** ([`ElasticPool`]) — `W` long-lived solver workers
-//!   over per-worker unit deques: jobs decompose at admission into
-//!   stealable *units* (slices of the batch budget, cube-seeded starts for
-//!   large instances), idle workers steal the most urgent queued unit, and
-//!   a running unit splits off half its remaining budget when the pool goes
-//!   idle. Admission is bounded and unit-granular; jobs with already-passed
+//!   over one unit queue: jobs decompose at admission into *units* (slices
+//!   of the batch budget, cube-seeded starts for large instances; the
+//!   `units` field sets the width), an idle worker pops the most urgent
+//!   queued unit, and a running unit splits off half its remaining budget
+//!   when the pool goes idle. Admission is bounded and unit-granular; jobs with already-passed
 //!   deadlines are refused at the door and re-checked at dequeue.
 //! * **Job lifecycle** ([`JobRecord`]) — per-job [`StopFlag`] cancellation
 //!   (honored between batches), incumbent broadcast between units of the
@@ -75,7 +75,7 @@ pub use protocol::{
 pub use server::{Server, ServerConfig, ServerState};
 pub use sink::LineSink;
 pub use spec::{
-    now_unix_ms, ExecMode, JobSpec, ProblemSpec, MAX_BLOCKS, MAX_DEVICES, MAX_PROBLEM_N,
-    MAX_QAP_SIZE, MAX_UNITS_PER_JOB, MODEL_CACHE_BUDGET,
+    now_unix_ms, JobSpec, ProblemSpec, MAX_DEVICES, MAX_PROBLEM_N, MAX_QAP_SIZE, MAX_UNITS_PER_JOB,
+    MODEL_CACHE_BUDGET,
 };
 pub use wal::{ReplayedTerminal, Wal, WalRecord, WalReplay};

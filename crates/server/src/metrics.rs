@@ -130,7 +130,6 @@ pub struct PoolLoad {
     pub workers: u64,
     pub busy: u64,
     pub queued_units: u64,
-    pub steals: u64,
     pub splits: u64,
 }
 
@@ -142,14 +141,12 @@ impl PoolLoad {
                 workers,
                 busy_workers,
                 queued_units,
-                steals,
                 splits,
                 ..
             } => Some(Self {
                 workers: *workers,
                 busy: *busy_workers,
                 queued_units: *queued_units,
-                steals: *steals,
                 splits: *splits,
             }),
             _ => None,
@@ -167,12 +164,11 @@ impl PoolLoad {
     /// One-line human report.
     pub fn report(&self) -> String {
         format!(
-            "pool {}/{} busy ({:.0}%) · {} units queued · {} steals · {} splits",
+            "pool {}/{} busy ({:.0}%) · {} units queued · {} splits",
             self.busy,
             self.workers,
             self.occupancy() * 100.0,
             self.queued_units,
-            self.steals,
             self.splits,
         )
     }
@@ -237,7 +233,6 @@ mod tests {
             queue_capacity: 64,
             busy_workers: 3,
             queued_units: 7,
-            steals: 11,
             splits: 2,
         };
         let load = PoolLoad::from_stats(&stats).unwrap();
@@ -246,13 +241,12 @@ mod tests {
         assert!((load.occupancy() - 0.75).abs() < 1e-12);
         let line = load.report();
         assert!(line.contains("3/4 busy"), "{line}");
-        assert!(line.contains("11 steals"), "{line}");
+        assert!(line.contains("2 splits"), "{line}");
         assert!(PoolLoad::from_stats(&Response::Pong).is_none());
         let idle = PoolLoad {
             workers: 0,
             busy: 0,
             queued_units: 0,
-            steals: 0,
             splits: 0,
         };
         assert_eq!(idle.occupancy(), 0.0);

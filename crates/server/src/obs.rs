@@ -2,7 +2,7 @@
 //! timelines.
 //!
 //! [`PoolObs`] is the process-wide tally of scheduler activity — every
-//! enqueue, pop, steal, split, yield, expiry, and revocation, plus
+//! enqueue, pop, split, yield, expiry, and revocation, plus
 //! log-bucketed histograms of queue wait and unit run time. It feeds the
 //! `metrics` protocol verb (via [`PoolObs::metrics_into`]) next to the
 //! solver's own counters.
@@ -22,12 +22,10 @@ use std::sync::OnceLock;
 /// Process-wide pool activity counters and latency histograms.
 #[derive(Debug)]
 pub struct PoolObs {
-    /// Units pushed onto any deque (admission + splits + yields).
+    /// Units queued (admission + splits + yields).
     pub enqueued: Counter,
-    /// Units taken off a deque by a worker.
+    /// Units popped off the queue by a worker.
     pub popped: Counter,
-    /// Pops that took the unit from another worker's deque.
-    pub steals: Counter,
     /// Units created by idle-splitting a running unit's budget.
     pub splits: Counter,
     /// Units created by priority-yielding a running unit's remainder.
@@ -45,7 +43,7 @@ pub struct PoolObs {
     pub quarantined_jobs: Counter,
     /// Queued units shed by brownout to keep admission bounded.
     pub shed_units: Counter,
-    /// Microseconds a unit waited in a deque before its pop.
+    /// Microseconds a unit waited in the queue before its pop.
     pub queue_wait_us: LogHistogram,
     /// Microseconds a claimed unit spent executing.
     pub unit_run_us: LogHistogram,
@@ -56,7 +54,6 @@ impl PoolObs {
         Self {
             enqueued: Counter::new(),
             popped: Counter::new(),
-            steals: Counter::new(),
             splits: Counter::new(),
             yields: Counter::new(),
             expired: Counter::new(),
@@ -77,7 +74,6 @@ impl PoolObs {
         for (name, c) in [
             ("pool.units_enqueued", &self.enqueued),
             ("pool.units_popped", &self.popped),
-            ("pool.steals", &self.steals),
             ("pool.splits", &self.splits),
             ("pool.yields", &self.yields),
             ("pool.expired", &self.expired),
@@ -224,7 +220,7 @@ pub enum TimelineKind {
     /// The job passed admission and its units were queued.
     Admitted,
     /// A worker claimed unit `unit` (1-based start ordinal) after it waited
-    /// `queue_wait_us` in a deque.
+    /// `queue_wait_us` in the queue.
     UnitStart {
         unit: u32,
         worker: u64,
@@ -514,7 +510,6 @@ mod tests {
         for name in [
             "pool.units_enqueued",
             "pool.units_popped",
-            "pool.steals",
             "pool.splits",
             "pool.yields",
             "pool.expired",

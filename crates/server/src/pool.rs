@@ -1,22 +1,22 @@
-//! The elastic shared worker pool: jobs decompose into stealable *units*.
+//! The elastic shared worker pool: jobs decompose into *units* on one
+//! queue.
 //!
 //! The fixed job-per-worker pool bound one whole job to one long-lived
 //! thread — a single saturating job monopolized its worker while siblings
 //! idled. Here admission decomposes every job into **units** (slices of its
 //! batch budget, plus cube-seeded subproblem starts for large instances),
-//! scheduled from per-worker deques:
+//! all queued on one pool-wide queue:
 //!
-//! - an idle worker takes the most urgent queued unit anywhere in the pool
-//!   (priority first, then units of jobs that have not started yet, then
-//!   earliest deadline, then FIFO — so one job's units keep their admission
-//!   order); taking a unit from another worker's deque is a **steal**;
+//! - an idle worker takes the most urgent queued unit (priority first, then
+//!   units of jobs that have not started yet, then earliest deadline, then
+//!   FIFO — so one job's units keep their admission order);
 //! - units of the same job share an **incumbent broadcast**: every
 //!   improving solution is published to the [`JobRecord`], and a freshly
-//!   dispatched (or stolen) unit warm-starts from the job's current best
-//!   instead of from scratch;
+//!   dispatched unit warm-starts from the job's current best instead of
+//!   from scratch;
 //! - a running unit **splits cooperatively**: between scheduling quanta it
 //!   checks whether the pool has gone idle, and if so carves half of its
-//!   remaining batch budget into a new stealable unit; symmetrically it
+//!   remaining batch budget into a new queued unit; symmetrically it
 //!   *yields* its remainder as a continuation unit when a strictly
 //!   higher-priority unit is waiting and no worker is free;
 //! - cancel revokes all queued units of the job, and a unit popped after
@@ -33,10 +33,9 @@
 use crate::chaos::{chaos_hit, FaultPlan, FaultSite};
 use crate::job::{JobRecord, UnitEnd, QUARANTINE_PANIC_THRESHOLD};
 use crate::obs::{pool_obs, TimelineKind};
-use crate::spec::{now_unix_ms, ExecMode, JobSpec, MAX_UNITS_PER_JOB};
+use crate::spec::{now_unix_ms, JobSpec, MAX_UNITS_PER_JOB};
 use dabs_core::{Incumbent, IncumbentObserver, SolveResult, Termination, UnitOutcome, WarmStart};
 use dabs_model::{IncrementalState, QuboModel, Solution};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -133,13 +132,13 @@ struct UnitTask {
     deadline_unix_ms: Option<u64>,
     /// Pool-wide admission order; lower = earlier (FIFO tie-break).
     seq: u64,
-    /// When this unit entered a deque — the origin of its queue-wait
+    /// When this unit entered the queue — the origin of its queue-wait
     /// measurement. Split/yield continuations reset it at re-enqueue.
     enqueued_at: Instant,
 }
 
 impl UnitTask {
-    /// Steal-order key, greater = more urgent: priority first, then units
+    /// Pop-order key, greater = more urgent: priority first, then units
     /// of jobs that have not executed anything yet (a fresh small job beats
     /// the tail of a saturating one), then nearest deadline, then FIFO.
     fn urgency(&self) -> (i32, bool, std::cmp::Reverse<u64>, std::cmp::Reverse<u64>) {
@@ -161,10 +160,8 @@ pub struct PoolGauges {
     pub workers: u64,
     /// Workers currently executing a unit.
     pub busy: u64,
-    /// Units waiting in per-worker deques.
+    /// Units waiting in the queue.
     pub queued_units: u64,
-    /// Units taken from another worker's deque.
-    pub steals: u64,
     /// Units created by in-job splitting (idle-split + priority yield).
     pub splits: u64,
     /// Dead worker threads respawned by the supervisor.
@@ -178,8 +175,7 @@ pub struct PoolGauges {
 
 #[derive(Debug)]
 struct Sched {
-    deques: Vec<VecDeque<UnitTask>>,
-    next_rr: usize,
+    queue: Vec<UnitTask>,
     next_seq: u64,
     closed: bool,
 }
@@ -192,7 +188,6 @@ struct PoolShared {
     workers: usize,
     busy: AtomicUsize,
     queued: AtomicUsize,
-    steals: AtomicU64,
     splits: AtomicU64,
     restarts: AtomicU64,
     shed: AtomicU64,
@@ -207,7 +202,7 @@ struct PoolShared {
 
 impl PoolShared {
     /// The scheduler lock, recovering from poisoning: every mutation under
-    /// it is a single push/remove that leaves the deques structurally
+    /// it is a single push/remove that leaves the queue structurally
     /// intact, so when a worker thread dies mid-section the survivors take
     /// the guard back instead of cascading the panic pool-wide. The death
     /// itself stays supervisor-visible through the dead thread's handle.
@@ -215,7 +210,7 @@ impl PoolShared {
         self.sched.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Queued-unit count across all deques (gauge; racy by nature).
+    /// Queued-unit count (gauge; racy by nature).
     fn queued_units(&self) -> usize {
         self.queued.load(Ordering::Relaxed)
     }
@@ -225,19 +220,11 @@ impl PoolShared {
             .saturating_sub(self.busy.load(Ordering::Relaxed))
     }
 
-    /// Push one unit onto a deque — the submitting round-robin target, or
-    /// `home` (the splitting worker's own deque, so an idle thief takes it).
-    fn push_unit(&self, task: UnitTask, home: Option<usize>) {
+    /// Queue one unit: a split or yield continuation, or a unit handed
+    /// back by a dying worker.
+    fn push_unit(&self, task: UnitTask) {
         let mut s = self.lock_sched();
-        let at = match home {
-            Some(w) => w,
-            None => {
-                let w = s.next_rr;
-                s.next_rr = (s.next_rr + 1) % self.workers;
-                w
-            }
-        };
-        s.deques[at].push_back(task);
+        s.queue.push(task);
         self.queued.fetch_add(1, Ordering::Relaxed);
         pool_obs().enqueued.inc();
         drop(s);
@@ -250,16 +237,11 @@ impl PoolShared {
         if self.queued_units() == 0 {
             return false;
         }
-        let s = self.lock_sched();
-        s.deques
-            .iter()
-            .flat_map(|d| d.iter())
-            .any(|t| t.priority > than)
+        self.lock_sched().queue.iter().any(|t| t.priority > than)
     }
 }
 
-/// The elastic pool: `W` supervised worker threads over per-worker unit
-/// deques.
+/// The elastic pool: `W` supervised worker threads over one unit queue.
 #[derive(Debug)]
 pub struct ElasticPool {
     shared: Arc<PoolShared>,
@@ -285,8 +267,7 @@ impl ElasticPool {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             sched: Mutex::new(Sched {
-                deques: (0..workers).map(|_| VecDeque::new()).collect(),
-                next_rr: 0,
+                queue: Vec::new(),
                 next_seq: 0,
                 closed: false,
             }),
@@ -295,7 +276,6 @@ impl ElasticPool {
             workers,
             busy: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
             splits: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -346,7 +326,6 @@ impl ElasticPool {
             workers: self.shared.workers as u64,
             busy: self.shared.busy.load(Ordering::Relaxed) as u64,
             queued_units: self.shared.queued_units() as u64,
-            steals: self.shared.steals.load(Ordering::Relaxed),
             splits: self.shared.splits.load(Ordering::Relaxed),
             worker_restarts: self.shared.restarts.load(Ordering::Relaxed),
             shed_units: self.shared.shed.load(Ordering::Relaxed),
@@ -354,9 +333,8 @@ impl ElasticPool {
         }
     }
 
-    /// Admit one job: decompose it into units and queue them round-robin
-    /// across the worker deques. Capacity counts *units*, so a wide job
-    /// cannot starve admission accounting.
+    /// Admit one job: decompose it into units and queue them. Capacity
+    /// counts *units*, so a wide job cannot starve admission accounting.
     pub fn submit(&self, record: &Arc<JobRecord>) -> Result<(), AdmissionError> {
         if let Some(deadline) = record.spec.deadline_unix_ms {
             let now = now_unix_ms();
@@ -392,9 +370,7 @@ impl ElasticPool {
             for work in works {
                 let seq = s.next_seq;
                 s.next_seq += 1;
-                let at = s.next_rr;
-                s.next_rr = (s.next_rr + 1) % self.shared.workers;
-                s.deques[at].push_back(UnitTask {
+                s.queue.push(UnitTask {
                     record: Arc::clone(record),
                     work,
                     priority: record.spec.priority,
@@ -472,7 +448,6 @@ fn supervisor_loop(shared: &Arc<PoolShared>, slots: &Arc<Mutex<Vec<Option<JoinHa
             }
             shared.restarts.fetch_add(1, Ordering::Relaxed);
             pool_obs().worker_restarts.inc();
-            dabs_obs::global().instant("worker_restart", "pool", i as u64, 0);
             *slot = Some(spawn_worker(shared, i));
         }
     }
@@ -484,9 +459,8 @@ fn supervisor_loop(shared: &Arc<PoolShared>, slots: &Arc<Mutex<Vec<Option<JoinHa
 /// the brownout latch is set. Returns `false` when no victim exists.
 fn shed_one_lower(shared: &PoolShared, s: &mut Sched, than: i32) -> bool {
     let victim = s
-        .deques
+        .queue
         .iter()
-        .flat_map(|d| d.iter())
         .filter(|t| {
             t.priority < than && t.record.unit_counts().1 == 0 && !t.record.phase().is_terminal()
         })
@@ -495,17 +469,13 @@ fn shed_one_lower(shared: &PoolShared, s: &mut Sched, than: i32) -> bool {
     let Some(victim) = victim else {
         return false;
     };
-    let mut removed = 0u64;
-    for d in &mut s.deques {
-        let before = d.len();
-        d.retain(|t| t.record.id != victim.id);
-        removed += (before - d.len()) as u64;
-    }
+    let before = s.queue.len();
+    s.queue.retain(|t| t.record.id != victim.id);
+    let removed = (before - s.queue.len()) as u64;
     shared.queued.fetch_sub(removed as usize, Ordering::Relaxed);
     shared.shed.fetch_add(removed, Ordering::Relaxed);
     shared.brownout.store(true, Ordering::Relaxed);
     pool_obs().shed_units.add(removed);
-    dabs_obs::global().instant("shed", "pool", removed, victim.id);
     victim.stop.stop();
     victim.finish(
         JobPhase::Failed,
@@ -517,10 +487,8 @@ fn shed_one_lower(shared: &PoolShared, s: &mut Sched, than: i32) -> bool {
 
 /// Decompose a job spec into unit work descriptors.
 ///
-/// - Threaded jobs become `spec.blocks` units, the width
-///   `DabsSolver::run` steps in parallel.
-/// - Sequential batch-budget jobs split into at most `workers` even slices,
-///   but only once the budget is ≥ 2×[`MIN_UNIT_BATCHES`] — small jobs stay
+/// - Batch-budget jobs split into at most `workers` even slices, but only
+///   once the budget is ≥ 2×[`MIN_UNIT_BATCHES`] — small jobs stay
 ///   single-unit, which keeps them bit-identical to the offline sequential
 ///   reference. `spec.units` overrides the width (capped at
 ///   [`MAX_UNITS_PER_JOB`]).
@@ -530,11 +498,7 @@ fn shed_one_lower(shared: &PoolShared, s: &mut Sched, than: i32) -> bool {
 /// - Time/target-bounded jobs default to one unit (each extra unit would
 ///   re-run the whole window); `spec.units` opts into parallel arms.
 fn decompose(spec: &JobSpec, workers: usize) -> Vec<UnitWork> {
-    let units = match spec.mode {
-        ExecMode::Threaded => Some(spec.blocks as u32),
-        ExecMode::Sequential => spec.units,
-    };
-    let width = match (units, spec.max_batches) {
+    let width = match (spec.units, spec.max_batches) {
         (Some(u), _) => u as u64,
         (None, Some(b)) => (b / MIN_UNIT_BATCHES).min(workers as u64).max(1),
         (None, None) => 1,
@@ -595,26 +559,18 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
         let (task, revoked) = {
             let mut s = shared.lock_sched();
             loop {
-                // Most urgent unit anywhere in the pool; taking it from
-                // another worker's deque is a steal. The seq tie-break
-                // keeps units of one job in admission order, so a
-                // single-worker pool folds a job exactly like the
-                // sequential reference.
+                // Most urgent queued unit. The seq tie-break keeps units of
+                // one job in admission order, so a single-worker pool folds
+                // a job exactly like the sequential reference.
                 let chosen = s
-                    .deques
+                    .queue
                     .iter()
                     .enumerate()
-                    .flat_map(|(w, d)| d.iter().enumerate().map(move |(j, t)| (w, j, t.urgency())))
-                    .max_by_key(|&(_, _, u)| u)
-                    .map(|(w, j, _)| (w, j));
-                if let Some((w, j)) = chosen {
-                    let t = s.deques[w].remove(j).expect("chosen unit present");
+                    .max_by_key(|(_, t)| t.urgency())
+                    .map(|(j, _)| j);
+                if let Some(j) = chosen {
+                    let t = s.queue.remove(j);
                     shared.queued.fetch_sub(1, Ordering::Relaxed);
-                    if w != me {
-                        shared.steals.fetch_add(1, Ordering::Relaxed);
-                        pool_obs().steals.inc();
-                        dabs_obs::global().instant("steal", "pool", me as u64, t.record.id);
-                    }
                     break (Some(t), s.closed);
                 }
                 if s.closed {
@@ -637,7 +593,7 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
             // Simulated worker death: give the unit back, then vanish. The
             // supervisor notices the dead slot within a tick and respawns
             // it; no unit is lost.
-            shared.push_unit(task, None);
+            shared.push_unit(task);
             return;
         }
         let queue_wait = task.enqueued_at.elapsed();
@@ -650,7 +606,7 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
     }
 }
 
-/// Wire label for a unit's end, used in timelines and traces.
+/// Wire label for a unit's end, used in timelines.
 fn end_name(end: UnitEnd) -> &'static str {
     match end {
         UnitEnd::Completed => "completed",
@@ -662,7 +618,7 @@ fn end_name(end: UnitEnd) -> &'static str {
 
 /// Execute (or revoke) one popped unit. `pool` is absent when called from
 /// the standalone [`execute`] path — no splitting or yielding then.
-/// `queue_wait` is how long the unit sat in a deque before this pop.
+/// `queue_wait` is how long the unit sat in the queue before this pop.
 fn run_task(
     pool: Option<(&Arc<PoolShared>, usize)>,
     task: &UnitTask,
@@ -670,9 +626,8 @@ fn run_task(
     queue_wait: Duration,
 ) {
     let record = &task.record;
-    let worker = pool.map_or(0, |(_, me)| me as u64);
     if record.phase().is_terminal() {
-        // Cancelled/expired while this unit sat in a deque; the record is
+        // Cancelled/expired while this unit sat in the queue; the record is
         // already folded or abandoned — just drop the unit.
         return;
     }
@@ -697,7 +652,6 @@ fn run_task(
     {
         if record.expire_if_unstarted("deadline passed while queued") {
             pool_obs().expired.inc();
-            dabs_obs::global().instant("expire", "pool", worker, record.id);
             return;
         }
         record.finish_unit(UnitEnd::Completed, None, None);
@@ -709,7 +663,6 @@ fn run_task(
         // target also lands here via the stop broadcast — the fold still
         // reports `done` because the merged result reached the target.)
         pool_obs().revoked.inc();
-        dabs_obs::global().instant("revoke", "pool", worker, record.id);
         record.finish_unit(UnitEnd::Revoked, None, None);
         return;
     }
@@ -718,42 +671,37 @@ fn run_task(
     };
     record.push_timeline(TimelineKind::UnitStart {
         unit,
-        worker,
+        worker: pool.map_or(0, |(_, me)| me as u64),
         queue_wait_us: queue_wait.as_micros() as u64,
     });
-    let span = dabs_obs::global().span("unit_run", "pool", worker, record.id);
     let started = Instant::now();
     // Supervision boundary: a panicking unit must not take its worker (or
     // the whole process) down. The unit folds as failed, and a job whose
     // units keep panicking is quarantined — refused further execution.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_unit(pool, task, unit)
+        execute_unit(pool.map(|(shared, _)| &**shared), task, unit)
     }));
-    let (_end, batches) = match outcome {
-        Ok(done) => done,
-        Err(_) => {
-            pool_obs().unit_panics.inc();
-            let panics = record.note_panic();
-            if panics >= QUARANTINE_PANIC_THRESHOLD && record.quarantine() {
-                pool_obs().quarantined_jobs.inc();
-                // Stop running siblings promptly; their interrupted ends
-                // still lose to the failed fold.
-                record.stop.stop();
-            }
-            end_unit(
-                record,
-                unit,
-                UnitEnd::Failed,
-                0,
-                None,
-                Some(format!("unit panicked ({panics} panics for this job)")),
-            )
+    if outcome.is_err() {
+        pool_obs().unit_panics.inc();
+        let panics = record.note_panic();
+        if panics >= QUARANTINE_PANIC_THRESHOLD && record.quarantine() {
+            pool_obs().quarantined_jobs.inc();
+            // Stop running siblings promptly; their interrupted ends
+            // still lose to the failed fold.
+            record.stop.stop();
         }
-    };
+        end_unit(
+            record,
+            unit,
+            UnitEnd::Failed,
+            0,
+            None,
+            Some(format!("unit panicked ({panics} panics for this job)")),
+        );
+    }
     pool_obs()
         .unit_run_us
         .record(started.elapsed().as_micros() as u64);
-    span.finish("batches", batches as i64);
 }
 
 /// Log the unit's end on the job timeline, then fold its outcome into the
@@ -768,26 +716,19 @@ fn end_unit(
     batches: u64,
     out: Option<UnitOutcome>,
     error: Option<String>,
-) -> (UnitEnd, u64) {
+) {
     record.push_timeline(TimelineKind::UnitEnd {
         unit,
         end: end_name(end).to_string(),
         batches,
     });
     record.finish_unit(end, out, error);
-    (end, batches)
 }
 
-/// Run one claimed unit to an end and account it on the record. Returns
-/// how the unit ended and how many batches it executed (for the caller's
-/// timeline/trace bookkeeping).
-fn execute_unit(
-    pool: Option<(&Arc<PoolShared>, usize)>,
-    task: &UnitTask,
-    ordinal: u32,
-) -> (UnitEnd, u64) {
+/// Run one claimed unit to an end and account it on the record.
+fn execute_unit(pool: Option<&PoolShared>, task: &UnitTask, ordinal: u32) {
     let record = &task.record;
-    if let Some((shared, _)) = pool {
+    if let Some(shared) = pool {
         if chaos_hit(&shared.chaos, FaultSite::UnitStall) {
             let ms = shared.chaos.as_ref().map_or(0, |p| p.stall_ms());
             std::thread::sleep(Duration::from_millis(ms));
@@ -866,7 +807,7 @@ fn execute_unit(
         if terminated || remaining == 0 {
             break;
         }
-        let Some((shared, me)) = pool else {
+        let Some(shared) = pool else {
             continue;
         };
         if slice.is_none() {
@@ -877,7 +818,7 @@ fn execute_unit(
             && shared.queued_units() == 0
         {
             // In-job split: the pool went idle mid-run — carve half the
-            // remaining budget into a stealable sibling so the idle worker
+            // remaining budget into a queued sibling so the idle worker
             // joins this job (warm-started from the shared incumbent).
             let Some(carved) = split_carve(remaining) else {
                 continue;
@@ -887,18 +828,14 @@ fn execute_unit(
                 assigned = assigned.map(|a| a - carved);
                 shared.splits.fetch_add(1, Ordering::Relaxed);
                 pool_obs().splits.inc();
-                dabs_obs::global().instant("split", "pool", me as u64, record.id);
-                shared.push_unit(
-                    UnitTask {
-                        record: Arc::clone(record),
-                        work: UnitWork::Slice {
-                            batches: Some(carved),
-                        },
-                        enqueued_at: Instant::now(),
-                        ..task.clone()
+                shared.push_unit(UnitTask {
+                    record: Arc::clone(record),
+                    work: UnitWork::Slice {
+                        batches: Some(carved),
                     },
-                    Some(me),
-                );
+                    enqueued_at: Instant::now(),
+                    ..task.clone()
+                });
             }
         } else if remaining >= MIN_SPLIT_BATCHES.max(1)
             && shared.idle_workers() == 0
@@ -912,18 +849,14 @@ fn execute_unit(
                 assigned = assigned.map(|a| a - remaining);
                 shared.splits.fetch_add(1, Ordering::Relaxed);
                 pool_obs().yields.inc();
-                dabs_obs::global().instant("yield", "pool", me as u64, record.id);
-                shared.push_unit(
-                    UnitTask {
-                        record: Arc::clone(record),
-                        work: UnitWork::Slice {
-                            batches: Some(remaining),
-                        },
-                        enqueued_at: Instant::now(),
-                        ..task.clone()
+                shared.push_unit(UnitTask {
+                    record: Arc::clone(record),
+                    work: UnitWork::Slice {
+                        batches: Some(remaining),
                     },
-                    Some(me),
-                );
+                    enqueued_at: Instant::now(),
+                    ..task.clone()
+                });
                 break;
             }
         }
@@ -944,13 +877,13 @@ fn execute_unit(
         _ => UnitEnd::Interrupted,
     };
     let batches = out.result.batches;
-    end_unit(record, ordinal, end, batches, Some(out), None)
+    end_unit(record, ordinal, end, batches, Some(out), None);
 }
 
 /// Execute one job record synchronously to a terminal phase, as a
 /// sequential fold of the same units the pool would create for a one-worker
-/// pool (FIFO, incumbent broadcast between consecutive units, no stealing
-/// or splitting). Public so embedded callers — tests, single-shot tools —
+/// pool (FIFO, incumbent broadcast between consecutive units, no
+/// splitting). Public so embedded callers — tests, single-shot tools —
 /// can run a record without a pool; also the reference the scheduler's
 /// merged results are property-tested against.
 pub fn execute(record: &Arc<JobRecord>) {
@@ -1023,7 +956,6 @@ mod tests {
         JobSpec {
             problem: ProblemSpec::random(20, seed),
             devices: 2,
-            blocks: 1,
             seed,
             max_batches: Some(batches),
             ..JobSpec::default()
@@ -1175,6 +1107,90 @@ mod tests {
         pool.join();
     }
 
+    /// When each unit of `record` started, read from its timeline. The
+    /// timeline stamps events relative to the job's submission, which is
+    /// recovered from its age (good to microseconds).
+    fn unit_starts(record: &JobRecord) -> Vec<Instant> {
+        let submitted = Instant::now() - record.age();
+        record
+            .timeline_snapshot()
+            .0
+            .iter()
+            .filter(|e| matches!(e.kind, TimelineKind::UnitStart { .. }))
+            .map(|e| submitted + Duration::from_micros(e.at_us))
+            .collect()
+    }
+
+    #[test]
+    fn one_worker_pops_by_priority_then_fresh_then_deadline_then_admission() {
+        // Time-bounded units have no batch budget, so they never split or
+        // yield: each runs its whole 40 ms window, and the start order is
+        // exactly the pop order. A blocker holds the only worker while the
+        // rest queue; each later job differs from an earlier one in one
+        // urgency key.
+        let registry = registry();
+        let pool = ElasticPool::spawn(1, 64);
+        let timed = |seed, priority| JobSpec {
+            max_batches: None,
+            time_ms: Some(40),
+            priority,
+            ..small_job(seed, 0)
+        };
+        let blocker = registry.register(JobSpec {
+            time_ms: Some(500),
+            ..timed(30, 0)
+        });
+        pool.submit(&blocker).unwrap();
+        let t0 = Instant::now();
+        while blocker.phase() != JobPhase::Running {
+            assert!(t0.elapsed() < Duration::from_secs(10), "blocker stuck");
+            std::thread::yield_now();
+        }
+        let submit = |spec| {
+            let record = registry.register(spec);
+            pool.submit(&record).unwrap();
+            record
+        };
+        let fifo_a = submit(timed(31, 0));
+        // Two units of one job: once its first unit started, its second is
+        // no longer fresh and yields to any fresh unit of equal priority.
+        let two = submit(JobSpec {
+            units: Some(2),
+            ..timed(32, 0)
+        });
+        let fifo_b = submit(timed(33, 0));
+        // A deadline outranks no deadline at equal priority and freshness.
+        let deadline = submit(JobSpec {
+            deadline_unix_ms: Some(now_unix_ms() + 60_000),
+            ..timed(34, 0)
+        });
+        // Priority outranks everything, even though it arrives last.
+        let urgent = submit(timed(35, 1));
+        assert_eq!(pool.gauges().queued_units, 6, "the blocker still runs");
+        for r in [&blocker, &fifo_a, &two, &fifo_b, &deadline, &urgent] {
+            assert!(r.wait_terminal(Duration::from_secs(30)), "job {}", r.id);
+        }
+        let mut starts: Vec<(Instant, &str)> = Vec::new();
+        for (record, label) in [
+            (&blocker, "blocker"),
+            (&fifo_a, "fifo_a"),
+            (&two, "two"),
+            (&fifo_b, "fifo_b"),
+            (&deadline, "deadline"),
+            (&urgent, "urgent"),
+        ] {
+            starts.extend(unit_starts(record).into_iter().map(|at| (at, label)));
+        }
+        starts.sort_by_key(|&(at, _)| at);
+        let order: Vec<&str> = starts.iter().map(|&(_, label)| label).collect();
+        assert_eq!(
+            order,
+            ["blocker", "urgent", "deadline", "fifo_a", "two", "fifo_b", "two"]
+        );
+        pool.close();
+        pool.join();
+    }
+
     #[test]
     fn bad_problem_fails_cleanly() {
         let registry = registry();
@@ -1291,13 +1307,14 @@ mod tests {
 
     #[test]
     fn threaded_mode_jobs_run_too() {
+        // A submit line written for the retired `mode`/`blocks` fields
+        // still parses (both are ignored; `units` sets the width) and runs.
+        let line = "{\"problem\":{\"kind\":\"random\",\"n\":20,\"seed\":7},\"seed\":7,\
+                    \"mode\":\"threaded\",\"blocks\":3,\"time_ms\":150}";
+        let spec = JobSpec::from_json(&serde::json::Json::parse(line).unwrap()).unwrap();
+        assert_eq!(decompose(&spec, 4).len(), 1, "time-bounded: one arm");
         let registry = registry();
-        let record = registry.register(JobSpec {
-            mode: ExecMode::Threaded,
-            max_batches: None,
-            time_ms: Some(150),
-            ..small_job(7, 0)
-        });
+        let record = registry.register(spec);
         execute(&record);
         let (phase, result, _) = record.snapshot();
         assert_eq!(phase, JobPhase::Done);
@@ -1337,10 +1354,9 @@ mod tests {
             ..small_job(1, 0)
         };
         assert_eq!(decompose(&timed, 8).len(), 1);
-        // Threaded jobs become `blocks` ordinary units, whatever the pool.
+        // An explicit width holds whatever the pool's size.
         let threaded = JobSpec {
-            mode: ExecMode::Threaded,
-            blocks: 3,
+            units: Some(3),
             ..small_job(1, 10_000)
         };
         assert_eq!(decompose(&threaded, 8).len(), 3);

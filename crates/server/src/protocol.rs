@@ -323,8 +323,8 @@ pub enum Response {
         error: Option<String>,
     },
     /// Runtime counters. `queued`/`running`/`finished` count *jobs*;
-    /// the pool gauges count *units* (the stealable slices jobs decompose
-    /// into) and pool activity since startup.
+    /// the pool gauges count *units* (the slices jobs decompose into) and
+    /// pool activity since startup.
     Stats {
         queued: u64,
         running: u64,
@@ -333,10 +333,8 @@ pub enum Response {
         queue_capacity: u64,
         /// Workers currently executing a unit.
         busy_workers: u64,
-        /// Units waiting in worker deques.
+        /// Units waiting in the pool's queue.
         queued_units: u64,
-        /// Units executed off another worker's deque (lifetime total).
-        steals: u64,
         /// Units created by in-job splitting (lifetime total).
         splits: u64,
     },
@@ -442,7 +440,6 @@ impl Response {
                 queue_capacity,
                 busy_workers,
                 queued_units,
-                steals,
                 splits,
             } => Json::obj([
                 ("type", Json::str("stats")),
@@ -454,7 +451,6 @@ impl Response {
                 ("queue_capacity", (*queue_capacity).into()),
                 ("busy_workers", (*busy_workers).into()),
                 ("queued_units", (*queued_units).into()),
-                ("steals", (*steals).into()),
                 ("splits", (*splits).into()),
             ]),
             Response::Metrics { metrics } => Json::obj([
@@ -565,7 +561,6 @@ impl Response {
                 queue_capacity: j.get_u64("queue_capacity").unwrap_or(0),
                 busy_workers: j.get_u64("busy_workers").unwrap_or(0),
                 queued_units: j.get_u64("queued_units").unwrap_or(0),
-                steals: j.get_u64("steals").unwrap_or(0),
                 splits: j.get_u64("splits").unwrap_or(0),
             }),
             "metrics" => {
@@ -717,14 +712,13 @@ mod tests {
                 queue_capacity: 64,
                 busy_workers: 3,
                 queued_units: 9,
-                steals: 17,
                 splits: 5,
             },
             Response::Metrics {
                 metrics: Box::new({
                     let mut set = dabs_core::MetricSet::new();
                     set.push(dabs_core::Metric::new(
-                        "pool.steals",
+                        "pool.splits",
                         17.0,
                         "count",
                         dabs_core::Direction::HigherIsBetter,
@@ -819,7 +813,7 @@ mod tests {
         assert_eq!(code("{\"op\":\"warp\"}"), ErrorCode::UnknownOp);
         assert_eq!(
             code(
-                "{\"op\":\"submit\",\"job\":{\"problem\":{\"kind\":\"random\"},\"mode\":\"warp\"}}"
+                "{\"op\":\"submit\",\"job\":{\"problem\":{\"kind\":\"random\",\"kernel\":\"warp\"}}}"
             ),
             ErrorCode::BadSpec
         );

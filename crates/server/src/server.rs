@@ -34,8 +34,8 @@ use std::sync::Arc;
 pub struct ServerConfig {
     /// Solver worker threads (`W`): the concurrent-solve ceiling.
     pub workers: usize,
-    /// Admission bound, in *units* (the stealable slices jobs decompose
-    /// into; a plain job is at least one unit).
+    /// Admission bound, in *units* (the slices jobs decompose into; a
+    /// plain job is at least one unit).
     pub queue_capacity: usize,
     /// Directory for the durable job log; `None` (the default) serves
     /// purely in memory, exactly as before PR 9.
@@ -280,12 +280,6 @@ impl ServerState {
             "count",
             Direction::LowerIsBetter,
         ));
-        set.push(Metric::new(
-            "trace.dropped",
-            dabs_obs::global().dropped() as f64,
-            "count",
-            Direction::LowerIsBetter,
-        ));
         set
     }
 
@@ -329,7 +323,6 @@ impl ServerState {
             queue_capacity: self.pool.capacity() as u64,
             busy_workers: gauges.busy,
             queued_units: gauges.queued_units,
-            steals: gauges.steals,
             splits: gauges.splits,
         }
     }

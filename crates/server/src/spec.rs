@@ -1,8 +1,8 @@
 //! Job specifications: what a client asks the runtime to solve, and how.
 //!
 //! A [`JobSpec`] is the unit of admission — problem, solver shape,
-//! termination, execution mode, priority, and deadline, all expressible as
-//! one JSON object on the wire. [`ProblemSpec::build`] is the single place
+//! termination, width, priority, and deadline, all expressible as one JSON
+//! object on the wire. [`ProblemSpec::build`] is the single place
 //! instances are materialized from a spec, shared by the server workers, the
 //! CLI (which converts its flags into a `ProblemSpec`), and the offline
 //! reference runs in the integration tests — so "the job the server ran" and
@@ -35,9 +35,6 @@ pub const MAX_QAP_SIZE: usize = 64;
 /// Every unit of a job holds `devices` solution pools and inline devices,
 /// so the pool count bounds a unit's memory and per-batch setup.
 pub const MAX_DEVICES: usize = 32;
-/// A threaded job becomes `blocks` units on the pool, so this caps its
-/// share of the unit queue (it stays below [`MAX_UNITS_PER_JOB`]).
-pub const MAX_BLOCKS: usize = 32;
 
 /// Which instance to solve. `kind` selects a generator family (the same set
 /// the CLI exposes) or `"inline"`, in which case `inline` carries the model
@@ -435,51 +432,16 @@ pub(crate) fn model_cache() -> &'static ModelCache {
     CACHE.get_or_init(|| ModelCache::new(MODEL_CACHE_BUDGET))
 }
 
-/// How the job runs on its worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Single-threaded deterministic run — same (problem, seed, batches)
-    /// always yields the same energies; the right mode for reproducible
-    /// tenants and for tests.
-    #[default]
-    Sequential,
-    /// Parallel solve: the job becomes `blocks` ordinary units on the
-    /// elastic pool, the width `DabsSolver::run` steps side by side. No job
-    /// spawns threads of its own.
-    Threaded,
-}
-
-impl ExecMode {
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Sequential => "sequential",
-            ExecMode::Threaded => "threaded",
-        }
-    }
-
-    pub fn from_name(s: &str) -> Result<Self, String> {
-        match s {
-            "sequential" => Ok(ExecMode::Sequential),
-            "threaded" => Ok(ExecMode::Threaded),
-            other => Err(format!("unknown mode {other:?}")),
-        }
-    }
-}
-
 /// Everything the runtime needs to admit, schedule, and execute one job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     pub problem: ProblemSpec,
     /// Solver pools/devices (paper's island count).
     pub devices: usize,
-    /// Parallel width of a threaded job: how many units it becomes
-    /// (threaded mode only).
-    pub blocks: usize,
     /// Solver seed.
     pub seed: u64,
     /// Use the fixed-strategy ABS baseline preset instead of full DABS.
     pub abs: bool,
-    pub mode: ExecMode,
     /// Stop at (≤) this energy.
     pub target: Option<i64>,
     /// Wall-clock budget, milliseconds.
@@ -493,11 +455,12 @@ pub struct JobSpec {
     /// queued is dropped by the worker; a running job has its time budget
     /// clamped to the remaining window.
     pub deadline_unix_ms: Option<u64>,
-    /// Explicit decomposition width: how many stealable units the scheduler
-    /// splits this job into (sequential mode only; a threaded job's width is
-    /// `blocks`). `None` lets the pool decide from the batch budget and
-    /// worker count; capped at [`MAX_UNITS_PER_JOB`]. The first unit runs
-    /// with `seed`, the others with their own `DabsSolver::for_unit` seeds.
+    /// Explicit decomposition width: how many units the scheduler splits
+    /// this job into, side by side on the pool. `None` lets the pool decide
+    /// from the batch budget and worker count; capped at
+    /// [`MAX_UNITS_PER_JOB`]. The first unit runs with `seed`, the others
+    /// with their own `DabsSolver::for_unit` seeds, so only a single-unit
+    /// job is reproducible run for run.
     pub units: Option<u32>,
     /// Bit-sliced batch width per device: `None`/0 runs the scalar
     /// strategies, a multiple of 64 in `[64, 256]` runs the bulk lockstep
@@ -531,10 +494,8 @@ impl Default for JobSpec {
         Self {
             problem: ProblemSpec::random(32, 1),
             devices: 2,
-            blocks: 1,
             seed: 1,
             abs: false,
-            mode: ExecMode::Sequential,
             target: None,
             time_ms: None,
             max_batches: None,
@@ -553,13 +514,11 @@ impl JobSpec {
     /// (external cancellation alone is not a termination a tenant can rely
     /// on — a forgotten client would park a worker forever).
     pub fn validate(&self) -> Result<(), String> {
-        if self.devices == 0 || self.blocks == 0 {
-            return Err("devices and blocks must be ≥ 1".into());
+        if self.devices == 0 {
+            return Err("devices must be ≥ 1".into());
         }
-        if self.devices > MAX_DEVICES || self.blocks > MAX_BLOCKS {
-            return Err(format!(
-                "devices ≤ {MAX_DEVICES} and blocks ≤ {MAX_BLOCKS} (admission caps)"
-            ));
+        if self.devices > MAX_DEVICES {
+            return Err(format!("devices ≤ {MAX_DEVICES} (admission cap)"));
         }
         self.problem.validate_size()?;
         if self.target.is_none() && self.time_ms.is_none() && self.max_batches.is_none() {
@@ -595,12 +554,14 @@ impl JobSpec {
         Ok(())
     }
 
-    /// Build the solver exactly as the CLI would for the same flags.
+    /// Build the solver exactly as the CLI would for the same flags. A job
+    /// runs as pool units (`DabsSolver::start_unit`), so its width is
+    /// [`JobSpec::units`] and the solver's own `blocks_per_device` is 1.
     pub fn build_solver(&self) -> Result<DabsSolver, String> {
         let mut cfg = if self.abs {
-            DabsConfig::abs_baseline(self.devices, self.blocks)
+            DabsConfig::abs_baseline(self.devices, 1)
         } else {
-            DabsConfig::dabs(self.devices, self.blocks)
+            DabsConfig::dabs(self.devices, 1)
         };
         cfg.seed = self.seed;
         cfg.params.batch_lanes = self.lanes.unwrap_or(0);
@@ -627,10 +588,8 @@ impl JobSpec {
         Json::obj([
             ("problem", self.problem.to_json()),
             ("devices", Json::from(self.devices)),
-            ("blocks", Json::from(self.blocks)),
             ("seed", Json::from(self.seed)),
             ("abs", Json::from(self.abs)),
-            ("mode", Json::str(self.mode.name())),
             ("target", self.target.into()),
             ("time_ms", self.time_ms.into()),
             ("max_batches", self.max_batches.into()),
@@ -646,19 +605,17 @@ impl JobSpec {
         ])
     }
 
+    /// Parse a spec; fields it does not know (among them the retired
+    /// `mode` and `blocks`, which older logs and clients still write) are
+    /// ignored.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         let problem = ProblemSpec::from_json(j.get("problem").ok_or("job needs a \"problem\"")?)?;
         let d = JobSpec::default();
         Ok(Self {
             problem,
             devices: j.get_u64("devices").map_or(d.devices, |v| v as usize),
-            blocks: j.get_u64("blocks").map_or(d.blocks, |v| v as usize),
             seed: j.get_u64("seed").unwrap_or(d.seed),
             abs: j.get_bool("abs").unwrap_or(false),
-            mode: match j.get_str("mode") {
-                Some(m) => ExecMode::from_name(m)?,
-                None => ExecMode::Sequential,
-            },
             target: j.get_i64("target"),
             time_ms: j.get_u64("time_ms"),
             max_batches: j.get_u64("max_batches"),
@@ -689,10 +646,8 @@ mod tests {
         let spec = JobSpec {
             problem: ProblemSpec::random(24, 9),
             devices: 3,
-            blocks: 2,
             seed: 42,
             abs: true,
-            mode: ExecMode::Threaded,
             target: Some(-17),
             time_ms: Some(250),
             max_batches: Some(1000),
@@ -736,9 +691,25 @@ mod tests {
             Json::parse("{\"problem\":{\"kind\":\"random\",\"n\":16},\"max_batches\":10}").unwrap();
         let spec = JobSpec::from_json(&j).unwrap();
         assert_eq!(spec.devices, 2);
-        assert_eq!(spec.mode, ExecMode::Sequential);
+        assert_eq!(spec.units, None);
         assert_eq!(spec.problem.seed, 1);
         spec.validate().unwrap();
+        // The retired `mode` and `blocks` fields are ignored, whatever they
+        // hold, and never written.
+        for legacy in [
+            "{\"problem\":{\"kind\":\"random\",\"n\":16},\"max_batches\":10,\
+             \"mode\":\"threaded\",\"blocks\":3}",
+            "{\"problem\":{\"kind\":\"random\",\"n\":16},\"max_batches\":10,\
+             \"mode\":\"no-such-mode\",\"blocks\":999}",
+        ] {
+            let parsed = JobSpec::from_json(&Json::parse(legacy).unwrap()).unwrap();
+            assert_eq!(parsed, spec, "{legacy}");
+        }
+        let line = spec.to_json().to_string();
+        assert!(
+            !line.contains("\"mode\"") && !line.contains("\"blocks\""),
+            "{line}"
+        );
     }
 
     #[test]
@@ -791,19 +762,13 @@ mod tests {
         assert!(bounded(ProblemSpec::inline_text("p qubo 0 4 0 0\n"))
             .validate()
             .is_ok());
-        // Pool count and parallel width are capped too.
+        // The pool count is capped too.
         let wide = JobSpec {
             devices: MAX_DEVICES + 1,
             max_batches: Some(1),
             ..JobSpec::default()
         };
         assert!(wide.validate().is_err());
-        let deep = JobSpec {
-            blocks: MAX_BLOCKS + 1,
-            max_batches: Some(1),
-            ..JobSpec::default()
-        };
-        assert!(deep.validate().is_err());
     }
 
     #[test]
@@ -1029,7 +994,6 @@ mod tests {
     fn spec_solver_matches_cli_construction() {
         let spec = JobSpec {
             devices: 2,
-            blocks: 1,
             seed: 77,
             max_batches: Some(60),
             ..JobSpec::default()

@@ -3,11 +3,13 @@
 //! With `--wal-dir` set, every *accepted* submit appends an `admit` record
 //! (spec included) before the client sees its ack, and every terminal
 //! transition appends a `terminal` record via the registry's
-//! [`TerminalHook`](crate::job::TerminalHook). On restart,
-//! [`Wal::open`] replays the log: jobs with an `admit` but no `terminal`
-//! were queued or running at crash time and are re-admitted; terminal jobs
-//! are re-registered already-finished so late `result`/`status` requests —
-//! and idempotent resubmits — still resolve.
+//! [`TerminalHook`](crate::job::TerminalHook). The hook runs on whatever
+//! thread ends the job, so a fast job can log its `terminal` before the
+//! admitting thread logs its `admit`; replay pairs the two in either
+//! order. On restart, [`Wal::open`] replays the log: jobs with an `admit`
+//! but no `terminal` were queued or running at crash time and are
+//! re-admitted; terminal jobs are re-registered already-finished so late
+//! `result`/`status` requests — and idempotent resubmits — still resolve.
 //!
 //! **Durability contract: at-least-once.** Appends are written immediately
 //! but fsynced by a background flusher that coalesces bursts, so a crash
@@ -327,6 +329,10 @@ impl Wal {
         let mut replay = WalReplay::default();
         let mut live: Vec<(JobId, JobSpec)> = Vec::new();
         let mut terminals: Vec<ReplayedTerminal> = Vec::new();
+        // Terminals read before their job's admit, waiting for it. One still
+        // waiting at the end of the log lost its admit to an older
+        // compaction and carries nothing replayable: it is dropped.
+        let mut early: Vec<(JobId, JobPhase, Option<SolveResult>, Option<String>)> = Vec::new();
         let mut quarantined: Vec<JobId> = Vec::new();
         let mut good = 0usize;
         let mut pos = 0usize;
@@ -346,7 +352,19 @@ impl Wal {
             match rec {
                 WalRecord::Admit { job, spec } => {
                     replay.max_job_id = replay.max_job_id.max(job);
-                    live.push((job, spec));
+                    match early.iter().position(|t| t.0 == job) {
+                        Some(i) => {
+                            let (job, phase, result, error) = early.remove(i);
+                            terminals.push(ReplayedTerminal {
+                                job,
+                                spec,
+                                phase,
+                                result,
+                                error,
+                            });
+                        }
+                        None => live.push((job, spec)),
+                    }
                 }
                 WalRecord::Terminal {
                     job,
@@ -364,9 +382,10 @@ impl Wal {
                             result: result.map(|b| *b),
                             error,
                         });
+                    } else {
+                        // The admit may still follow (see the module docs).
+                        early.push((job, phase, result.map(|b| *b), error));
                     }
-                    // A terminal without its admit (lost to an older
-                    // compaction) carries nothing replayable: skip.
                 }
                 WalRecord::Quarantine { job } => {
                     replay.max_job_id = replay.max_job_id.max(job);
@@ -630,6 +649,68 @@ mod tests {
         assert_eq!(replay2.truncated_bytes, 0);
         assert_eq!(replay2.live.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn log(records: &[WalRecord]) -> String {
+        records.iter().map(|r| r.encode() + "\n").collect()
+    }
+
+    fn done(job: JobId) -> WalRecord {
+        WalRecord::Terminal {
+            job,
+            phase: JobPhase::Done,
+            result: None,
+            error: None,
+        }
+    }
+
+    #[test]
+    fn terminal_logged_before_its_admit_is_still_terminal() {
+        // The terminal hook runs on the worker, so a fast job can log its
+        // terminal before the admitting thread logs the admit. Replaying
+        // that job as live would run a finished job a second time.
+        let raw = log(&[
+            done(7),
+            WalRecord::Admit {
+                job: 7,
+                spec: spec(16),
+            },
+            // A terminal whose admit never comes is dropped, as before.
+            done(9),
+        ]);
+        let replay = Wal::replay_bytes(raw.as_bytes());
+        assert!(replay.live.is_empty(), "{:?}", replay.live);
+        assert_eq!(replay.terminals.len(), 1);
+        assert_eq!(replay.terminals[0].job, 7);
+        assert_eq!(replay.terminals[0].spec, spec(16));
+        assert_eq!(replay.terminals[0].phase, JobPhase::Done);
+        assert_eq!(replay.max_job_id, 9);
+        assert_eq!(replay.truncated_bytes, 0);
+    }
+
+    #[test]
+    fn admit_lines_with_the_retired_mode_and_blocks_fields_replay() {
+        // An admit line as logs written before `mode` and `blocks` were
+        // retired hold it. Replay stops at the first line it cannot parse,
+        // so rejecting the old fields would drop this job and every record
+        // after it.
+        let old = "{\"rec\":\"admit\",\"job\":4,\"spec\":{\"problem\":{\"kind\":\"random\",\
+                   \"n\":16,\"seed\":3,\"inline\":null,\"kernel\":\"auto\"},\"devices\":2,\
+                   \"blocks\":3,\"seed\":1,\"abs\":false,\"mode\":\"threaded\",\"target\":null,\
+                   \"time_ms\":null,\"max_batches\":5,\"priority\":0,\"deadline_unix_ms\":null,\
+                   \"units\":null,\"lanes\":null,\"tenant\":null,\"idempotency_key\":\"key-16\"}}\n";
+        let raw = format!(
+            "{old}{}",
+            log(&[WalRecord::Admit {
+                job: 5,
+                spec: spec(24),
+            }])
+        );
+        let replay = Wal::replay_bytes(raw.as_bytes());
+        assert_eq!(replay.truncated_bytes, 0);
+        let ids: Vec<JobId> = replay.live.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [4, 5]);
+        assert_eq!(replay.live[0].1, spec(16));
     }
 
     #[test]

@@ -24,7 +24,6 @@ fn spec(n: usize, seed: u64, batches: u64, units: u32, priority: i32) -> JobSpec
     JobSpec {
         problem: ProblemSpec::random(n, seed),
         devices: 2,
-        blocks: 1,
         seed,
         max_batches: Some(batches),
         units: (units > 0).then_some(units),

@@ -3,11 +3,11 @@
 //! and terminal outcomes — the replay path trusts this bijection.
 
 use dabs::model::KernelChoice;
-use dabs::server::{ExecMode, JobPhase, JobSpec, ProblemSpec, Wal, WalRecord};
+use dabs::server::{JobPhase, JobSpec, ProblemSpec, Wal, WalRecord};
 use proptest::prelude::*;
 
 /// Derive a full [`JobSpec`] from three unconstrained words: every field
-/// of the spec — kind, sizes, kernel, inline text, mode, budgets, lanes,
+/// of the spec — kind, sizes, kernel, inline text, budgets, lanes,
 /// tenant, idempotency key — is a deterministic function of the draw,
 /// covering the whole shape space without a combinatorial strategy tuple.
 fn spec_from_words(a: u64, b: u64, c: u64) -> JobSpec {
@@ -24,14 +24,8 @@ fn spec_from_words(a: u64, b: u64, c: u64) -> JobSpec {
                 [(a >> 34) as usize % 3],
         },
         devices: 1 + (a >> 13) as usize % 8,
-        blocks: 1 + (a >> 17) as usize % 4,
         seed: c,
         abs: a >> 20 & 1 == 1,
-        mode: if a >> 21 & 1 == 1 {
-            ExecMode::Threaded
-        } else {
-            ExecMode::Sequential
-        },
         target: opt(a >> 22, b % 2_000_000).map(|v| v as i64 - 1_000_000),
         time_ms: opt(a >> 36, 1 + c % 600_000),
         max_batches: opt(a >> 23, 1 + b % 100_000),

@@ -12,8 +12,8 @@
 //! * `subscribe` streams monotonically non-increasing incumbent energies.
 
 use dabs::server::{
-    now_unix_ms, timeline_to_chrome, Client, ExecMode, JobSpec, ProblemSpec, Request, Response,
-    Server, ServerConfig, TimelineKind, PROTOCOL_VERSION,
+    now_unix_ms, timeline_to_chrome, Client, JobSpec, ProblemSpec, Request, Response, Server,
+    ServerConfig, TimelineKind, PROTOCOL_VERSION,
 };
 use std::time::{Duration, Instant};
 
@@ -55,9 +55,7 @@ fn job(n: usize, seed: u64, batches: u64) -> JobSpec {
     JobSpec {
         problem: ProblemSpec::random(n, seed),
         devices: 2,
-        blocks: 1,
         seed,
-        mode: ExecMode::Sequential,
         max_batches: Some(batches),
         ..JobSpec::default()
     }
