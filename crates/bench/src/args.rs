@@ -7,12 +7,18 @@ use std::collections::HashMap;
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    positional: Vec<String>,
 }
 
 impl Args {
-    /// Parse from `std::env::args` (skipping the binary name).
+    /// Parse from `std::env::args` (skipping the binary name), warning about
+    /// and ignoring positional arguments.
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        let args = Self::parse(std::env::args().skip(1));
+        for item in &args.positional {
+            eprintln!("warning: ignoring positional argument {item:?}");
+        }
+        args
     }
 
     /// Parse from an explicit iterator (used by tests).
@@ -28,10 +34,41 @@ impl Args {
                     _ => out.flags.push(key.to_string()),
                 }
             } else {
-                eprintln!("warning: ignoring positional argument {item:?}");
+                out.positional.push(item);
             }
         }
         out
+    }
+
+    /// Refuse anything but the `--key value` options in `values` and the
+    /// `--flag`s in `flags`: an unknown key, a value key given no value, a
+    /// flag given one, or a positional argument. For commands that must not
+    /// run on a misspelt option.
+    pub fn expect_only(&self, values: &[&str], flags: &[&str]) -> Result<(), String> {
+        let mut keys: Vec<&String> = self.values.keys().collect();
+        keys.sort();
+        for key in keys {
+            if !values.contains(&key.as_str()) {
+                return Err(if flags.contains(&key.as_str()) {
+                    format!("--{key} takes no value")
+                } else {
+                    format!("unknown option --{key}")
+                });
+            }
+        }
+        for flag in &self.flags {
+            if !flags.contains(&flag.as_str()) {
+                return Err(if values.contains(&flag.as_str()) {
+                    format!("--{flag} needs a value")
+                } else {
+                    format!("unknown option --{flag}")
+                });
+            }
+        }
+        match self.positional.first() {
+            Some(item) => Err(format!("unexpected argument {item:?}")),
+            None => Ok(()),
+        }
     }
 
     /// Boolean flag (`--full`).
@@ -72,6 +109,18 @@ mod tests {
         let a = parse("");
         assert_eq!(a.get("runs", 10usize), 10);
         assert_eq!(a.get("scale", 1.5f64), 1.5);
+    }
+
+    #[test]
+    fn expect_only_refuses_what_the_command_does_not_read() {
+        let (values, flags) = (&["seed", "out"][..], &["full"][..]);
+        assert_eq!(parse("--seed 3 --full").expect_only(values, flags), Ok(()));
+        let err = |s: &str| parse(s).expect_only(values, flags).unwrap_err();
+        assert_eq!(err("--sede 3"), "unknown option --sede");
+        assert_eq!(err("--quick"), "unknown option --quick");
+        assert_eq!(err("--out"), "--out needs a value");
+        assert_eq!(err("--full yes"), "--full takes no value");
+        assert_eq!(err("--seed 3 stray"), "unexpected argument \"stray\"");
     }
 
     #[test]

@@ -777,6 +777,9 @@ pub mod scan {
         pub scan_rate: f64,
         pub seg_rate: f64,
         pub gated: bool,
+        /// RandomMin's generator draws per flip in the production arm's
+        /// timed legs (RandomMin only).
+        pub draws_per_flip: Option<f64>,
     }
 
     impl ScanPoint {
@@ -804,13 +807,13 @@ pub mod scan {
         Batch,
     }
 
-    fn run_iterative(
+    fn run_iterative<R: Rng64 + Clone>(
         strategy: Strategy,
         seg: bool,
         st: &mut IncrementalState<'_>,
         best: &mut BestTracker,
         tabu: &mut TabuList,
-        rng: &mut Xorshift64Star,
+        rng: &mut R,
         flips: u64,
     ) -> u64 {
         match (strategy, seg) {
@@ -857,7 +860,6 @@ pub mod scan {
         let mut st = IncrementalState::new(model);
         let mut best = BestTracker::unbounded(n);
         let mut tabu = TabuList::new(n, 8);
-        let mut rng = Xorshift64Star::new(seed);
         if matches!(strategy, Strategy::Greedy) {
             let mut starts = Xorshift64Star::new(seed ^ 0x5EED);
             // warm-up descent
@@ -883,36 +885,96 @@ pub mod scan {
             std::hint::black_box(best.energy());
             return done as f64 / busy.as_secs_f64().max(1e-9);
         }
+        let mut rng = Xorshift64Star::new(seed);
+        let (done, secs, _) = timed_flips(
+            strategy, seg, &mut st, &mut best, &mut tabu, &mut rng, flips,
+        );
+        std::hint::black_box(best.energy());
+        done as f64 / secs
+    }
+
+    /// An iterative arm's flips: a warm-up fraction, then a timed budget
+    /// of `flips`. Returns the timed flips, their seconds, and the
+    /// generator as it stood when the timed flips began.
+    fn timed_flips<R: Rng64 + Clone>(
+        strategy: Strategy,
+        seg: bool,
+        st: &mut IncrementalState<'_>,
+        best: &mut BestTracker,
+        tabu: &mut TabuList,
+        rng: &mut R,
+        flips: u64,
+    ) -> (u64, f64, R) {
         let mut warm = 0u64;
         while warm < (flips / 8).max(64) {
-            warm +=
-                run_iterative(strategy, seg, &mut st, &mut best, &mut tabu, &mut rng, 256).max(1);
+            warm += run_iterative(strategy, seg, st, best, tabu, rng, 256).max(1);
         }
+        let start = rng.clone();
         let mut done = 0u64;
         let t0 = Instant::now();
         while done < flips {
-            done += run_iterative(
-                strategy,
-                seg,
+            done += run_iterative(strategy, seg, st, best, tabu, rng, flips - done).max(1);
+        }
+        (done, t0.elapsed().as_secs_f64().max(1e-9), start)
+    }
+
+    /// A generator that counts its raw draws. A clone carries the count,
+    /// so RandomMin's hand-back (restore the clone saved before a block,
+    /// redraw what the walk used) leaves the count at the generator's
+    /// position.
+    #[derive(Clone)]
+    struct CountingRng {
+        rng: Xorshift64Star,
+        draws: u64,
+    }
+
+    impl Rng64 for CountingRng {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.rng.next_u64()
+        }
+    }
+
+    /// Generator draws per flip of the production RandomMin arm's timed
+    /// legs, over every repetition [`measure`] times: an untimed replay of
+    /// each repetition's seed, so the count is deterministic.
+    fn randommin_draws_per_flip(model: &QuboModel, flips: u64, reps: usize) -> f64 {
+        let n = model.n();
+        let (mut draws, mut done) = (0u64, 0u64);
+        for r in 0..reps {
+            let mut st = IncrementalState::new(model);
+            let mut best = BestTracker::unbounded(n);
+            let mut tabu = TabuList::new(n, 8);
+            let mut rng = CountingRng {
+                rng: Xorshift64Star::new(rep_seed(r)),
+                draws: 0,
+            };
+            let (flipped, _, start) = timed_flips(
+                Strategy::RandomMin,
+                true,
                 &mut st,
                 &mut best,
                 &mut tabu,
                 &mut rng,
-                flips - done,
-            )
-            .max(1);
+                flips,
+            );
+            draws += rng.draws - start.draws;
+            done += flipped;
         }
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
-        std::hint::black_box(best.energy());
-        done as f64 / secs
+        draws as f64 / done as f64
     }
 
     /// Best-of-`reps` throughput for one arm (the max sheds scheduler
     /// noise; both arms get the same treatment).
     fn measure(model: &QuboModel, strategy: Strategy, seg: bool, flips: u64, reps: usize) -> f64 {
         (0..reps)
-            .map(|r| run_arm(model, strategy, seg, flips, 5 + r as u64))
+            .map(|r| run_arm(model, strategy, seg, flips, rep_seed(r)))
             .fold(0.0f64, f64::max)
+    }
+
+    /// The generator seed of repetition `r` of an arm.
+    fn rep_seed(r: usize) -> u64 {
+        5 + r as u64
     }
 
     /// Run the sweep over both instances.
@@ -940,6 +1002,8 @@ pub mod scan {
                 scan_rate: measure(model, strategy, false, flips, reps),
                 seg_rate: measure(model, strategy, true, flips, reps),
                 gated,
+                draws_per_flip: matches!(strategy, Strategy::RandomMin)
+                    .then(|| randommin_draws_per_flip(model, flips, reps)),
             })
             .collect()
     }
@@ -998,6 +1062,23 @@ pub mod scan {
                 }
             }
             out.push(speedup);
+            if let Some(draws) = p.draws_per_flip {
+                out.push(
+                    Metric::new(
+                        format!("{}.draws_per_flip", p.name),
+                        draws,
+                        "draws",
+                        Direction::LowerIsBetter,
+                    )
+                    .deterministic(),
+                );
+                out.push(Metric::new(
+                    format!("{}.ns_per_draw", p.name),
+                    1e9 / (p.seg_rate * draws),
+                    "ns",
+                    Direction::LowerIsBetter,
+                ));
+            }
         }
         let mut min_speedup = Metric::new(
             "min_contract_speedup",

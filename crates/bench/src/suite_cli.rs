@@ -8,8 +8,10 @@
 //! suite compare --baseline FILE [--candidate FILE] [--tolerance-scale X]
 //! ```
 //!
-//! Exit codes: 0 success, 1 gate failure (regressions / missing gated
-//! metrics / schema-invalid run), 2 usage or I/O error.
+//! Exit codes: 0 success (and `--help`), 1 gate failure (regressions /
+//! missing gated metrics / schema-invalid run), 2 usage or I/O error. Any
+//! option a command does not read is a usage error, refused before an
+//! entry runs.
 
 use crate::baseline::compare;
 use crate::report::SuiteReport;
@@ -22,20 +24,60 @@ use std::path::Path;
 /// --baseline BENCH_<pr>.json`).
 pub const DEFAULT_CANDIDATE: &str = "BENCH_ci.json";
 
+const USAGE: &str = "usage:
+  suite [--smoke | --full | --mode test|smoke|full] [--seed S]
+        [--filter SUBSTR] [--out FILE] [--list]
+  suite compare --baseline FILE [--candidate FILE] [--tolerance-scale X]
+";
+
+/// The `--key value` options and `--flag`s each command reads.
+const RUN_VALUES: [&str; 4] = ["mode", "seed", "filter", "out"];
+const RUN_FLAGS: [&str; 3] = ["smoke", "full", "list"];
+const COMPARE_VALUES: [&str; 3] = ["baseline", "candidate", "tolerance-scale"];
+
+/// A command line, checked before anything runs.
+#[derive(Debug)]
+enum Command {
+    Help,
+    Run(Args),
+    Compare(Args),
+}
+
+fn parse_command(argv: &[String]) -> Result<Command, String> {
+    let compare = argv.first().map(String::as_str) == Some("compare");
+    let rest = if compare { &argv[1..] } else { argv };
+    if let Some(word) = argv.first().filter(|a| !compare && !a.starts_with("--")) {
+        return Err(format!(
+            "unknown subcommand {word:?} (expected `compare` or flags)"
+        ));
+    }
+    let args = Args::parse(rest.to_vec());
+    if args.flag("help") {
+        return Ok(Command::Help);
+    }
+    if compare {
+        args.expect_only(&COMPARE_VALUES, &[])?;
+        Ok(Command::Compare(args))
+    } else {
+        args.expect_only(&RUN_VALUES, &RUN_FLAGS)?;
+        Ok(Command::Run(args))
+    }
+}
+
 /// Entry point. `argv` excludes the binary name.
 pub fn run_from_args(argv: &[String]) -> i32 {
-    if argv.first().map(String::as_str) == Some("compare") {
-        return compare_command(&Args::parse(argv[1..].to_vec()));
+    match parse_command(argv) {
+        Ok(Command::Help) => {
+            print!("{USAGE}");
+            0
+        }
+        Ok(Command::Run(args)) => run_command(&args),
+        Ok(Command::Compare(args)) => compare_command(&args),
+        Err(e) => {
+            eprint!("error: {e}\n{USAGE}");
+            2
+        }
     }
-    let positional: Vec<&String> = argv.iter().take_while(|a| !a.starts_with("--")).collect();
-    if !positional.is_empty() {
-        eprintln!(
-            "error: unknown subcommand {:?} (expected `compare` or flags)",
-            positional[0]
-        );
-        return 2;
-    }
-    run_command(&Args::parse(argv.to_vec()))
 }
 
 fn parse_mode(args: &Args) -> Result<SuiteMode, String> {
@@ -225,5 +267,45 @@ mod tests {
     #[test]
     fn unknown_subcommand_is_a_usage_error() {
         assert_eq!(run_from_args(&["frobnicate".to_string()]), 2);
+    }
+
+    fn command(s: &str) -> Result<Command, String> {
+        parse_command(&s.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn help_prints_usage_instead_of_running() {
+        assert!(matches!(command("--help"), Ok(Command::Help)));
+        assert!(matches!(command("--smoke --help"), Ok(Command::Help)));
+        assert!(matches!(command("compare --help"), Ok(Command::Help)));
+        assert!(matches!(command("--smoke --seed 2"), Ok(Command::Run(_))));
+        assert_eq!(run_from_args(&["--help".to_string()]), 0);
+    }
+
+    #[test]
+    fn a_misspelt_run_option_is_refused_before_any_entry_runs() {
+        assert_eq!(
+            command("--smoke --filer server_load").unwrap_err(),
+            "unknown option --filer"
+        );
+        assert_eq!(
+            run_from_args(&["--filer".to_string(), "server_load".to_string()]),
+            2
+        );
+    }
+
+    #[test]
+    fn a_misspelt_compare_option_is_refused() {
+        let line = "compare --baseline BENCH_10.json --tolerence-scale 2";
+        assert_eq!(
+            command(line).unwrap_err(),
+            "unknown option --tolerence-scale"
+        );
+        assert!(matches!(
+            command("compare --baseline B --tolerance-scale 2"),
+            Ok(Command::Compare(_))
+        ));
+        // The run options are not compare's.
+        assert!(command("compare --baseline B --seed 2").is_err());
     }
 }

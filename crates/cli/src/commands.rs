@@ -310,24 +310,18 @@ pub fn trace_from_args(args: &[String]) -> Result<(), String> {
 /// into the suite's flag form. Returns the process exit code (0 ok, 1 gate
 /// failure, 2 usage error).
 pub fn bench_from_args(args: &[String]) -> i32 {
-    let translated: Vec<String> = match args.first().map(String::as_str) {
-        Some("smoke") => {
-            let mut v = vec!["--smoke".to_string()];
-            v.extend_from_slice(&args[1..]);
-            v
-        }
-        Some("full") => {
-            let mut v = vec!["--full".to_string()];
-            v.extend_from_slice(&args[1..]);
-            v
-        }
-        Some("list") => vec!["--list".to_string()],
-        Some("compare") => args.to_vec(),
+    let flag = match args.first().map(String::as_str) {
+        Some("smoke") => "--smoke",
+        Some("full") => "--full",
+        Some("list") => "--list",
+        Some("compare" | "--help") => return dabs_bench::suite_cli::run_from_args(args),
         _ => {
             eprintln!("error: dabs bench expects smoke | full | list | compare");
             return 2;
         }
     };
+    let mut translated = vec![flag.to_string()];
+    translated.extend_from_slice(&args[1..]);
     dabs_bench::suite_cli::run_from_args(&translated)
 }
 

@@ -1,21 +1,29 @@
 //! Instruction-set tiers for the scalar flip path.
 //!
-//! Five loops of the flip path are plain integer loops: the dense one-flip
-//! Δ update, the per-segment min/argmin and max re-reductions, and the two
-//! selection folds (the per-segment `Δ ≤ bound` candidate masks behind
-//! `select_le`, and the smallest positive gain). The baseline `x86_64`
-//! target is SSE2, which has no 64-bit compare, min or per-lane variable
-//! shift, so they compile to scalar code there. This module compiles each
-//! loop's one portable body (an `#[inline(always)]` function) again as
-//! `#[target_feature]` clones for AVX2 and AVX-512 and runs the clone of a
-//! tier detected once per process, in the order AVX-512 > AVX2 > portable.
+//! Six loops of the flip path run here. Five are plain integer loops: the
+//! dense one-flip Δ update, the per-segment min/argmin and max
+//! re-reductions, and the two selection folds (the per-segment
+//! `Δ ≤ bound` candidate masks behind `select_le`, and the smallest
+//! positive gain). The sixth is RandomMin's gap pass, 32 geometric gaps
+//! per call in float lanes ([`GeometricGaps`]). The baseline `x86_64`
+//! target is SSE2, which has no 64-bit compare, min, per-lane variable
+//! shift or `i64` conversion, so they compile to scalar code there. This
+//! module compiles each loop's one portable body (an `#[inline(always)]`
+//! function) again as `#[target_feature]` clones for AVX2 and AVX-512 and
+//! runs the clone of a tier detected once per process, in the order
+//! AVX-512 > AVX2 > portable.
 //!
-//! Every clone is the same source and the loops are integer-only, so every
-//! tier computes bit-identical results and only the codegen differs: the
-//! kernel parity contract holds on any host, and the `tier_parity` tests
-//! below hold each clone to the portable body. Nothing selects a tier but
-//! the CPU: there is no option, feature or build flag.
+//! Every clone is the same source, so every tier computes bit-identical
+//! results and only the codegen differs. For the integer loops that is
+//! plain. The gap pass's float lanes compute the same bits too: each is a
+//! fixed sequence of IEEE-754 basic operations (add, subtract, multiply,
+//! divide, compare, exact conversions), each correctly rounded alike in
+//! scalar and vector form, and Rust never contracts a multiply and an add
+//! into an FMA. The kernel parity contract holds on any host, and the
+//! `tier_parity` tests below hold each clone to the portable body. Nothing
+//! selects a tier but the CPU: there is no option, feature or build flag.
 
+use crate::gaps::{GeometricGaps, GAP_LANES};
 use crate::segments::SegmentAggregates;
 use std::sync::OnceLock;
 
@@ -164,6 +172,18 @@ tiered! {
     /// `IncrementalState::positive_min_delta`.
     fn positive_min(segs: &SegmentAggregates, delta: &[i64]) -> i64
         = SegmentAggregates::positive_min_body;
+}
+
+// The gap pass has float lanes, and every tier still returns the same gaps
+// and the same declined-lane mask (`tier_parity_gap_pass`): see the module
+// docs.
+tiered! {
+    /// RandomMin's block of geometric gaps behind [`GeometricGaps::fill`].
+    fn gap_pass(
+        gaps: &GeometricGaps,
+        draws: &[u64; GAP_LANES],
+        out: &mut [usize; GAP_LANES],
+    ) -> u32 = GeometricGaps::pass_body;
 }
 
 #[cfg(test)]
@@ -379,6 +399,47 @@ mod tests {
                             assert_eq!(got, want, "{} {label}", tier.name());
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tier_parity_gap_pass() {
+        let tiers = vector_tiers("tier_parity_gap_pass");
+        let mut rng = Xorshift64Star::new(0x6a9);
+        let two_53 = (1u64 << 53) as f64;
+        // RandomMin's floor 32/n at its smallest and largest n, schedule
+        // values, the degenerate range, and p near 1.
+        let mut ps = vec![1e-300, 1e-17, 1e-7, 1e-5, 1.0 / 4096.0, 1.0 / 128.0];
+        ps.extend([1.0 / 15.0, 32.0 / 224.0, 0.16, 0.5, 0.75, 0.999_999, 1.0]);
+        for _ in 0..32 {
+            ps.push(rng.next_f64().powi(3).max(1e-9));
+        }
+        for p in ps {
+            let gaps = GeometricGaps::new(p);
+            let q = 1.0 - p;
+            // Random draws, the extremes, and the draws on and beside the
+            // gap boundaries ⌊q^k·2⁵³⌋, which the estimate must decline.
+            let mut draws: Vec<u64> = (0..8 * GAP_LANES).map(|_| rng.next_u53()).collect();
+            draws.extend([0, 1, 2, (1 << 52) - 1, 1 << 52, (1 << 53) - 1]);
+            for k in 1..=40 {
+                let edge = (q.powi(k) * two_53) as u64;
+                for delta in -2i64..=2 {
+                    draws.push(edge.saturating_add_signed(delta).min((1 << 53) - 1));
+                }
+            }
+            draws.resize(draws.len().next_multiple_of(GAP_LANES), 1 << 51);
+            for block in draws.chunks_exact(GAP_LANES) {
+                let block: &[u64; GAP_LANES] = block.try_into().unwrap();
+                let mut want = [usize::MAX; GAP_LANES];
+                let want_mask = gap_pass(Tier::PORTABLE, &gaps, block, &mut want);
+                for &tier in &tiers {
+                    let mut got = [usize::MAX; GAP_LANES];
+                    let got_mask = gap_pass(tier, &gaps, block, &mut got);
+                    let label = format!("{} p={p:e} draws {block:?}", tier.name());
+                    assert_eq!(got_mask, want_mask, "{label}: declined lanes");
+                    assert_eq!(got, want, "{label}: gaps");
                 }
             }
         }

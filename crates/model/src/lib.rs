@@ -28,6 +28,8 @@
 //!   primitives every strategy uses ([`IncrementalState::min_delta`],
 //!   [`IncrementalState::select_le`], …) from `O(n)` re-scans into
 //!   `O(n/64 + dirty)` reductions with bit-identical results.
+//! * [`GeometricGaps`] — RandomMin's exact geometric gaps between
+//!   candidates, [`GAP_LANES`] draws per branch-free pass.
 //!
 //! Weights and energies are `i64` throughout: every benchmark in the paper is
 //! integral, and integer energies make optimality assertions exact.
@@ -39,6 +41,7 @@ mod builder;
 mod csr;
 mod dense;
 mod error;
+mod gaps;
 mod incremental;
 pub mod io;
 #[allow(unsafe_code)]
@@ -54,6 +57,7 @@ pub use builder::QuboBuilder;
 pub use csr::SymmetricCsr;
 pub use dense::DenseStrips;
 pub use error::ModelError;
+pub use gaps::{GeometricGaps, GAP_LANES};
 pub use incremental::{BestTracker, IncrementalState};
 pub use ising::IsingModel;
 pub use kernel::{

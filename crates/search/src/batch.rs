@@ -46,7 +46,7 @@ impl BatchSearch {
 
     /// Run one batch on the resident `state` (any kernel backend) with the
     /// configured `batch_flips(n)` budget.
-    pub fn run<K: QuboKernel, R: Rng64 + ?Sized>(
+    pub fn run<K: QuboKernel, R: Rng64 + Clone>(
         &mut self,
         state: &mut IncrementalState<'_, K>,
         target: &Solution,

@@ -130,7 +130,7 @@ impl MainAlgorithm {
     /// Dispatch: run this algorithm for (up to) `flips` bit flips.
     /// Returns the number of flips actually performed (TwoNeighbor always
     /// performs exactly `2n − 1` regardless of `flips`).
-    pub fn run<K: QuboKernel, R: Rng64 + ?Sized>(
+    pub fn run<K: QuboKernel, R: Rng64 + Clone>(
         self,
         state: &mut IncrementalState<'_, K>,
         best: &mut BestTracker,

@@ -468,3 +468,57 @@ fn randommin_batch_composite_is_bit_identical_to_the_ln_reference() {
         st_new.assert_consistent();
     }
 }
+
+#[test]
+fn randommin_give_back_matches_the_ln_reference() {
+    // RandomMin takes its draws 32 at a time and hands a block's unused
+    // draws back before `fallback_bit` draws and when a leg returns. Tabu
+    // tenure 2n: once the walk has flipped every bit, every sampled
+    // candidate is tabu, so each iteration gives its block back and falls
+    // back right after; legs of 1 to 17 flips end at many lane offsets of
+    // a block. After every leg the vector, the best and the RNG position
+    // must equal the draw-by-draw `ln` reference's.
+    use dabs::model::{BestTracker, IncrementalState, Solution};
+    use dabs::search::{reference, TabuList};
+
+    for (n, seed) in [(40usize, 91u64), (64, 92), (100, 93), (333, 94)] {
+        let q = random_model(n, 0.1, seed);
+        let start = Solution::random(n, &mut Xorshift64Star::new(seed + 100));
+        let mut st_new = IncrementalState::from_solution(&q, start.clone());
+        let mut st_ln = IncrementalState::from_solution(&q, start);
+        let mut best_new = BestTracker::unbounded(n);
+        let mut best_ln = BestTracker::unbounded(n);
+        let mut tabu_new = TabuList::new(n, 2 * n as u64);
+        let mut tabu_ln = TabuList::new(n, 2 * n as u64);
+        let mut rng_new = Xorshift64Star::new(seed + 200);
+        let mut rng_ln = Xorshift64Star::new(seed + 200);
+        let mut all_tabu_legs = 0;
+        for leg in 0..250u64 {
+            all_tabu_legs += (0..n).all(|i| tabu_new.is_tabu(i)) as u32;
+            let flips = 1 + leg * 7 % 17;
+            dabs::search::random_min(
+                &mut st_new,
+                &mut best_new,
+                &mut tabu_new,
+                &mut rng_new,
+                flips,
+            );
+            reference::random_min_ln(&mut st_ln, &mut best_ln, &mut tabu_ln, &mut rng_ln, flips);
+            let label = format!("n={n} leg {leg} ({flips} flips)");
+            assert_eq!(st_new.solution(), st_ln.solution(), "{label}: vector");
+            assert_eq!(st_new.flips(), st_ln.flips(), "{label}: flips");
+            assert_eq!(best_new.energy(), best_ln.energy(), "{label}: best energy");
+            assert_eq!(
+                best_new.solution(),
+                best_ln.solution(),
+                "{label}: best vector"
+            );
+            assert_eq!(rng_new, rng_ln, "{label}: RNG position");
+        }
+        assert!(
+            all_tabu_legs >= 50,
+            "n={n}: only {all_tabu_legs} legs began with every bit tabu"
+        );
+        st_new.assert_consistent();
+    }
+}
