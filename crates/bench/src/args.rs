@@ -11,14 +11,34 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse from `std::env::args` (skipping the binary name), warning about
-    /// and ignoring positional arguments.
-    pub fn from_env() -> Self {
-        let args = Self::parse(std::env::args().skip(1));
-        for item in &args.positional {
-            eprintln!("warning: ignoring positional argument {item:?}");
+    /// A bench bin's command line, read by `read` into what the bin runs
+    /// on. `values` and `flags` name every option the bin reads; its usage
+    /// line lists them. `--help` prints the usage and exits 0; any other
+    /// option, or a value `read` cannot parse, prints the error and the
+    /// usage to stderr and exits 2, before the bin does any work.
+    pub fn read_env<T>(
+        values: &[&str],
+        flags: &[&str],
+        read: impl FnOnce(&Args) -> Result<T, String>,
+    ) -> T {
+        let mut argv = std::env::args();
+        let path = argv.next().unwrap_or_default();
+        let bin = path.rsplit('/').next().unwrap_or_default();
+        let options = flags.iter().map(|f| format!(" [--{f}]"));
+        let options = options.chain(values.iter().map(|v| format!(" [--{v} VALUE]")));
+        let usage = format!("usage: {bin}{}\n", options.collect::<String>());
+        let args = Self::parse(argv);
+        if args.flag("help") {
+            print!("{usage}");
+            std::process::exit(0);
         }
-        args
+        match args.expect_only(values, flags).and_then(|()| read(&args)) {
+            Ok(t) => t,
+            Err(e) => {
+                eprint!("error: {e}\n{usage}");
+                std::process::exit(2);
+            }
+        }
     }
 
     /// Parse from an explicit iterator (used by tests).
@@ -76,13 +96,13 @@ impl Args {
         self.flags.iter().any(|f| f == name)
     }
 
-    /// Typed value with default.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+    /// Typed value with default; a value that does not parse is an error.
+    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.values.get(name) {
             Some(v) => v
                 .parse()
-                .unwrap_or_else(|_| panic!("--{name}: cannot parse {v:?}")),
-            None => default,
+                .map_err(|_| format!("--{name}: cannot parse {v:?}")),
+            None => Ok(default),
         }
     }
 }
@@ -98,8 +118,8 @@ mod tests {
     #[test]
     fn parses_values_and_flags() {
         let a = parse("--runs 50 --full --seed 7");
-        assert_eq!(a.get("runs", 0usize), 50);
-        assert_eq!(a.get("seed", 1u64), 7);
+        assert_eq!(a.get("runs", 0usize), Ok(50));
+        assert_eq!(a.get("seed", 1u64), Ok(7));
         assert!(a.flag("full"));
         assert!(!a.flag("quick"));
     }
@@ -107,8 +127,8 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let a = parse("");
-        assert_eq!(a.get("runs", 10usize), 10);
-        assert_eq!(a.get("scale", 1.5f64), 1.5);
+        assert_eq!(a.get("runs", 10usize), Ok(10));
+        assert_eq!(a.get("scale", 1.5f64), Ok(1.5));
     }
 
     #[test]
@@ -124,8 +144,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot parse")]
-    fn bad_value_panics() {
-        parse("--runs abc").get("runs", 0usize);
+    fn bad_value_is_an_error() {
+        assert_eq!(
+            parse("--runs abc").get("runs", 0usize),
+            Err("--runs: cannot parse \"abc\"".to_string())
+        );
     }
 }

@@ -14,7 +14,7 @@ use dabs_bench::scenarios::ablation::{adaptive_arms, run_table, ArmColumns};
 use dabs_bench::{Args, RunPlan};
 
 fn main() {
-    let plan = RunPlan::from_args(&Args::from_env());
+    let plan = Args::read_env(&RunPlan::VALUES, &RunPlan::FLAGS, RunPlan::from_args);
     println!("== Ablation: adaptive vs uniform strategy selection ==");
     println!(
         "runs = {}, per-family canonical budgets (see scenarios::family_budget_ms)\n",

@@ -12,7 +12,7 @@ use dabs_bench::scenarios::ablation::{islands_arms, run_table, ArmColumns};
 use dabs_bench::{Args, RunPlan};
 
 fn main() {
-    let plan = RunPlan::from_args(&Args::from_env());
+    let plan = Args::read_env(&RunPlan::VALUES, &RunPlan::FLAGS, RunPlan::from_args);
     println!("== Ablation: 4 islands × 2 blocks vs 1 island × 8 blocks ==");
     println!(
         "runs = {}, per-family canonical budgets (see scenarios::family_budget_ms)\n",

@@ -12,7 +12,9 @@ use dabs_bench::scenarios::ablation::{portfolio_arms, run_table, ArmColumns};
 use dabs_bench::{Args, RunPlan};
 
 fn main() {
-    let plan = RunPlan::from_args_with_runs(&Args::from_env(), 3);
+    let plan = Args::read_env(&RunPlan::VALUES, &RunPlan::FLAGS, |args| {
+        RunPlan::from_args_with_runs(args, 3)
+    });
     println!("== Ablation: algorithm portfolio vs single algorithms ==");
     println!("cells: success probability reaching the first arm's reference energy");
     println!(

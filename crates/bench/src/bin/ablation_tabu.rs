@@ -10,7 +10,7 @@ use dabs_bench::scenarios::ablation::{run_table, tabu_arms, ArmColumns};
 use dabs_bench::{Args, RunPlan};
 
 fn main() {
-    let plan = RunPlan::from_args(&Args::from_env());
+    let plan = Args::read_env(&RunPlan::VALUES, &RunPlan::FLAGS, RunPlan::from_args);
     println!("== Ablation: tabu tenure 8 vs 0 ==");
     println!(
         "runs = {}, per-family canonical budgets (see scenarios::family_budget_ms)\n",

@@ -17,11 +17,14 @@ use dabs_search::SearchParams;
 use std::sync::Arc;
 
 fn main() {
-    let args = Args::from_env();
-    let plan = RunPlan::from_args_with_runs(&args, 25);
+    let values = [&RunPlan::VALUES[..], &["bin-ms", "n"]].concat();
+    let (plan, bin_ms, n_override) = Args::read_env(&values, &RunPlan::FLAGS, |args| {
+        let plan = RunPlan::from_args_with_runs(args, 25)?;
+        let bin_ms = args.get("bin-ms", if plan.full { 100u64 } else { 50 })?;
+        Ok((plan, bin_ms, args.get("n", 0usize)?))
+    });
     let budget = plan.budget(Family::MaxCut);
-    let bin = args.get("bin-ms", if plan.full { 100u64 } else { 50 }) as f64 / 1000.0;
-    let n_override = args.get("n", 0usize);
+    let bin = bin_ms as f64 / 1000.0;
 
     let bench = if n_override > 0 {
         dabs_bench::instances::MaxCutBench {

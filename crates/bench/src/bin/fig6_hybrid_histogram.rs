@@ -19,11 +19,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
-    let args = Args::from_env();
-    let plan = RunPlan::from_args_with_runs(&args, 20);
-    let t_base = Duration::from_millis(args.get("t-ms", if plan.full { 5_000 } else { 250 }));
+    let values = [&RunPlan::VALUES[..], &["t-ms", "n", "bin"]].concat();
+    let (plan, t_base_ms, n_override, bin_width) =
+        Args::read_env(&values, &RunPlan::FLAGS, |args| {
+            let plan = RunPlan::from_args_with_runs(args, 20)?;
+            let t_base_ms = args.get("t-ms", if plan.full { 5_000 } else { 250 })?;
+            let n = args.get("n", 0usize)?;
+            Ok((plan, t_base_ms, n, args.get("bin", 1.0f64)?))
+        });
+    let t_base = Duration::from_millis(t_base_ms);
 
-    let n_override = args.get("n", 0usize);
     let bench = if n_override > 0 {
         dabs_bench::instances::MaxCutBench {
             label: "K2000(custom n)",
@@ -47,7 +52,6 @@ fn main() {
     let reference = establish_reference(&model, &cfg, t_base * 8);
     println!("potentially optimal energy: {reference}\n");
 
-    let bin_width: f64 = args.get("bin", 1.0f64);
     for factor in [1u32, 2, 4] {
         let deadline = t_base * factor;
         let mut hist = Histogram::new(0.0, bin_width);

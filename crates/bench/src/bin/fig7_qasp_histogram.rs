@@ -15,10 +15,14 @@ use dabs_search::SearchParams;
 use std::sync::Arc;
 
 fn main() {
-    let args = Args::from_env();
-    let plan = RunPlan::from_args_with_runs(&args, 15);
+    let values = [&RunPlan::VALUES[..], &["bin-ms"]].concat();
+    let (plan, bin_ms) = Args::read_env(&values, &RunPlan::FLAGS, |args| {
+        let plan = RunPlan::from_args_with_runs(args, 15)?;
+        let bin_ms = args.get("bin-ms", if plan.full { 1000u64 } else { 200 })?;
+        Ok((plan, bin_ms))
+    });
     let budget = plan.budget(Family::Qasp);
-    let bin = args.get("bin-ms", if plan.full { 1000u64 } else { 200 }) as f64 / 1000.0;
+    let bin = bin_ms as f64 / 1000.0;
 
     println!("== Fig. 7: QASP TTS histograms ==");
     println!("runs = {} per resolution, bin width = {bin}s\n", plan.runs);

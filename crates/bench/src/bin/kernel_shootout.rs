@@ -37,11 +37,12 @@ fn human(rate: f64) -> String {
 }
 
 fn main() {
-    let args = Args::from_env();
-    let smoke = args.flag("smoke");
-    let n: usize = args.get("n", 1024);
-    let flips: usize = args.get("flips", if smoke { 60_000 } else { 400_000 });
-    let seed: u64 = args.get("seed", 1);
+    let (smoke, n, flips, seed) = Args::read_env(&["n", "flips", "seed"], &["smoke"], |args| {
+        let smoke = args.flag("smoke");
+        let n = args.get("n", 1024usize)?;
+        let flips = args.get("flips", if smoke { 60_000usize } else { 400_000 })?;
+        Ok((smoke, n, flips, args.get("seed", 1u64)?))
+    });
     let densities: Vec<f64> = if smoke {
         vec![0.05, 0.5, 0.95]
     } else {

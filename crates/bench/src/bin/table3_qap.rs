@@ -21,7 +21,7 @@ use dabs_search::SearchParams;
 use std::sync::Arc;
 
 fn main() {
-    let plan = RunPlan::from_args(&Args::from_env());
+    let plan = Args::read_env(&RunPlan::VALUES, &RunPlan::FLAGS, RunPlan::from_args);
     let budget = plan.budget(Family::Qap);
 
     println!(

@@ -22,10 +22,13 @@ use dabs_search::SearchParams;
 use std::sync::Arc;
 
 fn main() {
-    let args = Args::from_env();
-    let plan = RunPlan::from_args(&args);
+    let values = [&RunPlan::VALUES[..], &["reads"]].concat();
+    let (plan, reads) = Args::read_env(&values, &RunPlan::FLAGS, |args| {
+        let plan = RunPlan::from_args(args)?;
+        let reads = args.get("reads", if plan.full { 1000u32 } else { 200 })?;
+        Ok((plan, reads))
+    });
     let budget = plan.budget(Family::Qasp);
-    let reads = args.get("reads", if plan.full { 1000u32 } else { 200 });
 
     println!(
         "== Table IV: QASP ({}) ==",

@@ -15,7 +15,9 @@ use dabs_core::GeneticOp;
 use dabs_search::MainAlgorithm;
 
 fn main() {
-    let plan = RunPlan::from_args_with_runs(&Args::from_env(), 3);
+    let plan = Args::read_env(&RunPlan::VALUES, &RunPlan::FLAGS, |args| {
+        RunPlan::from_args_with_runs(args, 3)
+    });
 
     println!("== Table V: executed-frequency of algorithms and operations ==");
     println!(

@@ -16,7 +16,7 @@ use dabs_core::GeneticOp;
 use dabs_search::MainAlgorithm;
 
 fn main() {
-    let plan = RunPlan::from_args(&Args::from_env());
+    let plan = Args::read_env(&RunPlan::VALUES, &RunPlan::FLAGS, RunPlan::from_args);
 
     println!("== Table VI: first-finder frequency ==");
     println!(

@@ -60,25 +60,30 @@ pub struct RunPlan {
 }
 
 impl RunPlan {
+    /// The `--key value` options a plan reads; a bin adds its own keys.
+    pub const VALUES: [&'static str; 5] = ["runs", "seed", "budget-ms", "devices", "blocks"];
+    /// The `--flag`s a plan reads.
+    pub const FLAGS: [&'static str; 1] = ["full"];
+
     /// Parse with the canonical defaults (`runs = 5`).
-    pub fn from_args(args: &Args) -> RunPlan {
+    pub fn from_args(args: &Args) -> Result<RunPlan, String> {
         Self::from_args_with_runs(args, 5)
     }
 
     /// Parse with a bin-specific default repetition count (histogram bins
     /// want more repetitions than tables).
-    pub fn from_args_with_runs(args: &Args, default_runs: usize) -> RunPlan {
-        RunPlan {
+    pub fn from_args_with_runs(args: &Args, default_runs: usize) -> Result<RunPlan, String> {
+        Ok(RunPlan {
             full: args.flag("full"),
-            runs: args.get("runs", default_runs),
-            seed: args.get("seed", 1u64),
-            budget_override: match args.get("budget-ms", 0u64) {
+            runs: args.get("runs", default_runs)?,
+            seed: args.get("seed", 1u64)?,
+            budget_override: match args.get("budget-ms", 0u64)? {
                 0 => None,
                 ms => Some(Duration::from_millis(ms)),
             },
-            devices: args.get("devices", 4usize),
-            blocks: args.get("blocks", 2usize),
-        }
+            devices: args.get("devices", 4usize)?,
+            blocks: args.get("blocks", 2usize)?,
+        })
     }
 
     /// The per-run budget for a family: `--budget-ms` if given, else the
@@ -1593,8 +1598,9 @@ pub mod obs_overhead {
 // ---------------------------------------------------------------------------
 
 /// End-to-end jobs/s and latency percentiles against an in-process
-/// `dabs-server` over real TCP — shared by the `server_throughput` bin, the
-/// `dabs loadgen` flow, and the suite's `server_throughput` entry.
+/// `dabs-server` over real TCP — the suite's `server_throughput` and
+/// `server_load` entries. `dabs loadgen` without `--addr` runs the same
+/// measurement (`drive_fleet` on an in-process server) at any load shape.
 pub mod server_load {
     use super::*;
     use dabs_server::{
@@ -1666,16 +1672,19 @@ pub mod server_load {
     fn drive(server: &Server, spec: &LoadSpec) -> Result<LatencySummary, String> {
         let addr = server.local_addr();
         {
-            let mut c = Client::connect(addr).map_err(|e| format!("warmup connect: {e}"))?;
+            let mut c = Client::builder(addr)
+                .connect()
+                .map_err(|e| format!("warmup connect: {e}"))?;
             let id = c
-                .submit(&JobSpec {
+                .try_submit(&JobSpec {
                     problem: ProblemSpec::random(spec.n, 999),
                     seed: 999,
                     max_batches: Some(spec.batches),
                     ..JobSpec::default()
                 })
-                .map_err(|e| format!("warmup submit: {e}"))?;
-            c.wait_result(id)
+                .map_err(|e| format!("warmup submit: {e}"))?
+                .job;
+            c.try_wait_result(id)
                 .map_err(|e| format!("warmup result: {e}"))?;
         }
 
@@ -1857,25 +1866,28 @@ pub mod server_load {
                 .ok_or_else(|| format!("{tag} fleet completed no jobs"))
         };
 
-        let mut control = Client::connect(addr).map_err(|e| format!("control connect: {e}"))?;
+        let mut control = Client::builder(addr)
+            .connect()
+            .map_err(|e| format!("control connect: {e}"))?;
         // Warmup: one end-to-end job keeps thread-spawn and first-touch
         // costs out of both measured windows.
         let warm = control
-            .submit(&JobSpec {
+            .try_submit(&JobSpec {
                 problem: ProblemSpec::random(fleet.n, 999),
                 seed: 999,
                 max_batches: Some(fleet.batches),
                 ..JobSpec::default()
             })
-            .map_err(|e| format!("warmup submit: {e}"))?;
+            .map_err(|e| format!("warmup submit: {e}"))?
+            .job;
         control
-            .wait_result(warm)
+            .try_wait_result(warm)
             .map_err(|e| format!("warmup result: {e}"))?;
 
         let unloaded = pass("unloaded", fleet.seed)?;
 
         let large = control
-            .submit(&JobSpec {
+            .try_submit(&JobSpec {
                 problem: ProblemSpec::random(spec.large_n, fleet.seed ^ 0x9e37),
                 seed: fleet.seed ^ 0x9e37,
                 max_batches: Some(spec.large_batches),
@@ -1883,7 +1895,8 @@ pub mod server_load {
                 priority: -1,
                 ..JobSpec::default()
             })
-            .map_err(|e| format!("large submit: {e}"))?;
+            .map_err(|e| format!("large submit: {e}"))?
+            .job;
 
         let loaded = pass("loaded", fleet.seed + 777_001)?;
 
@@ -1893,7 +1906,7 @@ pub mod server_load {
             .cancel(large)
             .map_err(|e| format!("large cancel: {e}"))?;
         let large_phase = control
-            .wait_result(large)
+            .try_wait_result(large)
             .map_err(|e| format!("large result: {e}"))?
             .phase;
         Ok(ElasticOutcome {
@@ -2123,7 +2136,9 @@ pub mod conn_scale {
         // Warm the accept path before the baseline RSS reading so one-time
         // allocations (scratch buffers, slab) don't bill to the first conn.
         {
-            let mut c = Client::connect(addr).map_err(|e| format!("warmup connect: {e}"))?;
+            let mut c = Client::builder(addr)
+                .connect()
+                .map_err(|e| format!("warmup connect: {e}"))?;
             c.ping().map_err(|e| format!("warmup ping: {e}"))?;
         }
         let rss_before = vm_rss();
@@ -2157,7 +2172,11 @@ pub mod conn_scale {
         // the full idle population registered in the poller.
         let mut actives = Vec::with_capacity(spec.active);
         for i in 0..spec.active {
-            actives.push(Client::connect(addr).map_err(|e| format!("active connect {i}: {e}"))?);
+            actives.push(
+                Client::builder(addr)
+                    .connect()
+                    .map_err(|e| format!("active connect {i}: {e}"))?,
+            );
         }
         let mut rtts = Vec::with_capacity(spec.active * spec.pings);
         for _ in 0..spec.pings {
@@ -2946,7 +2965,7 @@ mod tests {
 
     #[test]
     fn run_plan_has_one_set_of_defaults() {
-        let p = RunPlan::from_args(&args(""));
+        let p = RunPlan::from_args(&args("")).unwrap();
         assert!(!p.full);
         assert_eq!((p.runs, p.seed, p.devices, p.blocks), (5, 1, 4, 2));
         assert_eq!(p.budget_override, None);
@@ -2958,13 +2977,13 @@ mod tests {
 
     #[test]
     fn budget_override_beats_family_default() {
-        let p = RunPlan::from_args(&args("--budget-ms 1234"));
+        let p = RunPlan::from_args(&args("--budget-ms 1234")).unwrap();
         assert_eq!(p.budget(Family::Qap), Duration::from_millis(1_234));
     }
 
     #[test]
     fn full_scale_budgets_differ() {
-        let p = RunPlan::from_args(&args("--full"));
+        let p = RunPlan::from_args(&args("--full")).unwrap();
         assert_eq!(p.budget(Family::Qap), Duration::from_millis(120_000));
         assert_eq!(p.budget(Family::MaxCut), Duration::from_millis(60_000));
     }

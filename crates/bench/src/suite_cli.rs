@@ -81,7 +81,7 @@ pub fn run_from_args(argv: &[String]) -> i32 {
 }
 
 fn parse_mode(args: &Args) -> Result<SuiteMode, String> {
-    let explicit: String = args.get("mode", String::new());
+    let explicit: String = args.get("mode", String::new())?;
     match (args.flag("smoke"), args.flag("full"), explicit.as_str()) {
         (_, _, name) if !name.is_empty() => {
             SuiteMode::by_name(name).ok_or_else(|| format!("unknown --mode {name:?}"))
@@ -93,21 +93,22 @@ fn parse_mode(args: &Args) -> Result<SuiteMode, String> {
 }
 
 fn run_command(args: &Args) -> i32 {
-    let mode = match parse_mode(args) {
-        Ok(m) => m,
+    let read = || -> Result<(SuiteConfig, String), String> {
+        let filter: String = args.get("filter", String::new())?;
+        let cfg = SuiteConfig {
+            mode: parse_mode(args)?,
+            seed: args.get("seed", 1u64)?,
+            filter: (!filter.is_empty()).then_some(filter),
+            verbose: true,
+        };
+        Ok((cfg, args.get("out", DEFAULT_CANDIDATE.to_string())?))
+    };
+    let (cfg, out_path) = match read() {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return 2;
         }
-    };
-    let cfg = SuiteConfig {
-        mode,
-        seed: args.get("seed", 1u64),
-        filter: {
-            let f: String = args.get("filter", String::new());
-            (!f.is_empty()).then_some(f)
-        },
-        verbose: true,
     };
     if args.flag("list") {
         let mut table = Table::new(vec!["entry", "family", "about"]);
@@ -121,8 +122,6 @@ fn run_command(args: &Args) -> i32 {
         print!("{}", table.render());
         return 0;
     }
-    let out_path: String = args.get("out", DEFAULT_CANDIDATE.to_string());
-
     println!(
         "dabs bench suite — mode {}, seed {}{}",
         cfg.mode.name(),
@@ -194,13 +193,24 @@ fn headline(e: &crate::report::EntryReport) -> String {
 }
 
 fn compare_command(args: &Args) -> i32 {
-    let baseline_path: String = args.get("baseline", String::new());
+    let read = || -> Result<(String, String, f64), String> {
+        Ok((
+            args.get("baseline", String::new())?,
+            args.get("candidate", DEFAULT_CANDIDATE.to_string())?,
+            args.get("tolerance-scale", 1.0f64)?,
+        ))
+    };
+    let (baseline_path, candidate_path, scale) = match read() {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 2;
+        }
+    };
     if baseline_path.is_empty() {
         eprintln!("error: compare requires --baseline FILE");
         return 2;
     }
-    let candidate_path: String = args.get("candidate", DEFAULT_CANDIDATE.to_string());
-    let scale: f64 = args.get("tolerance-scale", 1.0f64);
 
     let baseline = match SuiteReport::read_file(Path::new(&baseline_path)) {
         Ok(r) => r,

@@ -221,7 +221,7 @@ pub fn loadgen_from_args(args: &[String]) -> Result<(), String> {
 /// (stdout stays reserved for the loadgen summary). Best-effort: connect
 /// or poll failures end the watch quietly rather than failing the run.
 fn watch_pool_loop(addr: &str, interval_ms: u64, stop: &AtomicBool) {
-    let Ok(mut client) = Client::connect(addr) else {
+    let Ok(mut client) = Client::builder(addr).connect() else {
         eprintln!("watch-pool: cannot connect to {addr}");
         return;
     };
@@ -268,7 +268,8 @@ fn timeline_line(event: &TimelineEvent) -> String {
 /// `dabs timeline <job>`: print a job's recorded lifecycle events.
 pub fn timeline_from_args(args: &[String]) -> Result<(), String> {
     let opts = TimelineOptions::parse(args)?;
-    let mut client = Client::connect(opts.addr.as_str())
+    let mut client = Client::builder(&opts.addr)
+        .connect()
         .map_err(|e| format!("cannot connect to {}: {e}", opts.addr))?;
     let (events, dropped) = client.timeline(opts.job)?;
     println!("job {} — {} timeline events", opts.job, events.len());
@@ -286,7 +287,8 @@ pub fn timeline_from_args(args: &[String]) -> Result<(), String> {
 pub fn trace_from_args(args: &[String]) -> Result<(), String> {
     let opts = TimelineOptions::parse(args)?;
     let out = opts.out.unwrap_or_else(|| "trace.json".to_string());
-    let mut client = Client::connect(opts.addr.as_str())
+    let mut client = Client::builder(&opts.addr)
+        .connect()
         .map_err(|e| format!("cannot connect to {}: {e}", opts.addr))?;
     let (events, dropped) = client.timeline(opts.job)?;
     if dropped > 0 {

@@ -88,7 +88,7 @@ fn killed_server_replays_admitted_jobs_and_collapses_resubmits() {
         .try_submit(&keyed_job("job-done", 50))
         .expect("submit done job");
     assert!(!done_ack.duplicate);
-    let done_outcome = client.wait_result(done_ack.job).expect("done result");
+    let done_outcome = client.try_wait_result(done_ack.job).expect("done result");
     assert_eq!(done_outcome.phase, "done");
     let done_energy = done_outcome.result.as_ref().expect("result").energy;
 
@@ -114,7 +114,7 @@ fn killed_server_replays_admitted_jobs_and_collapses_resubmits() {
         .expect("resubmit done");
     assert!(again.duplicate, "completed job must collapse by key");
     assert_eq!(again.job, done_ack.job, "original id survives the crash");
-    let replayed = client2.wait_result(again.job).expect("replayed result");
+    let replayed = client2.try_wait_result(again.job).expect("replayed result");
     assert_eq!(replayed.phase, "done");
     assert_eq!(
         replayed.result.expect("replayed result").energy,
@@ -138,7 +138,9 @@ fn killed_server_replays_admitted_jobs_and_collapses_resubmits() {
     );
     // It is genuinely running: cancel ends it with a terminal phase.
     client2.cancel(live_ack.job).expect("cancel");
-    let ended = client2.wait_result(live_ack.job).expect("cancelled result");
+    let ended = client2
+        .try_wait_result(live_ack.job)
+        .expect("cancelled result");
     assert_eq!(ended.phase, "cancelled");
 
     child2.kill().expect("kill serve 2");

@@ -1,8 +1,10 @@
 //! `dabs-obs` — zero-dependency observability core for the DABS stack.
 //!
-//! Every other crate in the workspace (core, model, server, bench, cli)
-//! records into this one, so it depends on nothing but `std`. Two
-//! building blocks:
+//! `dabs-core` tallies the solver's hot loop into it, `dabs-server` its
+//! pool, serving edge and per-job timelines, and `dabs-cli` writes trace
+//! files with it; with the umbrella `dabs` crate, which re-exports it,
+//! they are the only crates that depend on it. It depends on nothing but
+//! `std`. Two building blocks:
 //!
 //! * **Metrics** ([`Counter`], [`Gauge`], [`LogHistogram`]) — lock-free
 //!   atomic recording on the hot path; [`HistSnapshot`] supports merge and
@@ -15,8 +17,8 @@
 //!   builds them from a job's recorded timeline (`dabs trace`).
 //!
 //! The bridge from these snapshot types to `core::stats::MetricSet` lives
-//! in `dabs-core` (this crate cannot see `Metric` without creating a
-//! dependency cycle once model/search are instrumented).
+//! in `dabs-core`: `dabs-core` depends on this crate, so this crate cannot
+//! name `Metric` without a dependency cycle.
 
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
 

@@ -12,9 +12,13 @@
 //! plan injected rather than a guess.
 //!
 //! The hook is zero-cost when chaos is off: every site holds an
-//! `Option<Arc<FaultPlan>>` and the common path is a `None` check. Plans
-//! come from `serve --chaos <spec>` or the `DABS_CHAOS` env var (tests);
-//! production servers simply never construct one.
+//! `Option<Arc<FaultPlan>>` and the common path is a `None` check. A
+//! server arms a plan only from [`ServerConfig::chaos`], which
+//! `serve --chaos <spec>` sets and announces with a `CHAOS ARMED` banner;
+//! tests build their plan with [`FaultPlan::parse`] and hand it to that
+//! field, or straight to the pool or the job log they exercise.
+//!
+//! [`ServerConfig::chaos`]: crate::ServerConfig::chaos
 //!
 //! Spec grammar (comma-separated, order-free):
 //!
@@ -211,20 +215,6 @@ impl FaultPlan {
             return Err("chaos spec arms no site (e.g. unit_panic=1x3)".into());
         }
         Ok(plan)
-    }
-
-    /// Plan from the `DABS_CHAOS` env var, if set. A malformed value is a
-    /// hard error on stderr and `None` — silently ignoring a typo'd storm
-    /// spec would make a chaos test pass vacuously.
-    pub fn from_env() -> Option<Arc<FaultPlan>> {
-        let spec = std::env::var("DABS_CHAOS").ok()?;
-        match FaultPlan::parse(&spec) {
-            Ok(plan) => Some(Arc::new(plan)),
-            Err(e) => {
-                eprintln!("DABS_CHAOS ignored: {e}");
-                None
-            }
-        }
     }
 
     /// Should this site fail right now? Draws the site's next decision

@@ -3,21 +3,19 @@
 //! One `Client` wraps one TCP connection. The protocol allows interleaved
 //! streams on a single connection, but this client keeps a discipline that
 //! makes blocking reads deterministic: request/response methods consume
-//! exactly the lines their request produces, and `wait_result`/`subscribe`
-//! loops skip unrelated traffic by job id. The CLI's `loadgen`, the
-//! throughput benchmark, and the integration tests all drive the server
-//! through this type — it is the reference client implementation.
+//! exactly the lines their request produces, and the `try_wait_result`,
+//! `subscribe` and `timeline` loops skip unrelated traffic by job id.
+//! `dabs loadgen`, `dabs timeline`/`trace`, the bench suite, perfbench and
+//! the integration tests all drive the server through this type — it is
+//! the reference client implementation.
 //!
-//! Two ways in:
-//!
-//! * [`Client::connect`] — the original constructor: raw connection, no
-//!   handshake, `String` errors. Kept verbatim so existing callers compile
-//!   unchanged; prefer the builder in new code.
-//! * [`Client::builder`] — protocol-v2 aware: performs the `hello`
-//!   handshake (version + optional tenant), surfaces failures as typed
-//!   [`ClientError`]s carrying the server's stable [`ErrorCode`], and can
-//!   stamp submits with generated idempotency keys so retrying a submit
-//!   over a fresh connection cannot double-run the job.
+//! Every client is opened by [`Client::builder`]: it performs the `hello`
+//! handshake (version + optional tenant), surfaces failures as typed
+//! [`ClientError`]s carrying the server's stable [`ErrorCode`], and can
+//! stamp submits with generated idempotency keys so retrying a submit over
+//! a fresh connection cannot double-run the job. The server still serves
+//! connections that never send `hello` (protocol v1); this client always
+//! sends it.
 //!
 //! With [`ClientBuilder::retry`] configured, `try_submit` and
 //! `try_wait_result` ride out transient failures on their own: transport
@@ -32,7 +30,7 @@ use crate::protocol::{ErrorCode, JobId, Request, Response, PROTOCOL_VERSION};
 use crate::spec::JobSpec;
 use dabs_core::SolveResult;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// Exponential-backoff retry configuration. See [`ClientBuilder::retry`].
@@ -48,18 +46,15 @@ struct RetryPolicy {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// Protocol version settled by `hello` (1 when no handshake was done).
+    /// Protocol version settled by `hello`.
     negotiated: u64,
-    /// Prefix for generated idempotency keys; `None` leaves submits unkeyed.
-    idempotency_prefix: Option<String>,
-    /// Monotonic suffix for generated keys.
+    /// Monotonic suffix for generated idempotency keys.
     key_seq: u64,
-    /// Builder snapshot for reconnecting after a transport failure; `None`
-    /// for `Client::connect` clients (no handshake to replay).
-    reconnect: Option<ClientBuilder>,
-    retry: Option<RetryPolicy>,
     /// SplitMix64 state for deterministic backoff jitter.
     jitter_state: u64,
+    /// What the builder configured; re-dialing after a transport failure
+    /// replays its handshake.
+    config: ClientBuilder,
 }
 
 /// A job's terminal outcome as seen by a client.
@@ -70,6 +65,27 @@ pub struct JobOutcome {
     pub phase: String,
     pub result: Option<SolveResult>,
     pub error: Option<String>,
+}
+
+impl JobOutcome {
+    /// The outcome a `done` line reports for `job`; `None` for any other
+    /// line.
+    fn from_done(response: Response, job: JobId) -> Option<Self> {
+        match response {
+            Response::Done {
+                job: id,
+                phase,
+                result,
+                error,
+            } if id == job => Some(Self {
+                job,
+                phase,
+                result: result.map(|b| *b),
+                error,
+            }),
+            _ => None,
+        }
+    }
 }
 
 /// What `try_submit` learned: the job id and whether the server matched an
@@ -118,6 +134,14 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
+/// Lets `?` carry a client error out of a function that reports errors as
+/// strings (the CLI commands, the bench drivers).
+impl From<ClientError> for String {
+    fn from(e: ClientError) -> Self {
+        e.to_string()
+    }
+}
+
 impl ClientError {
     /// `true` when backing off and retrying the same request may succeed:
     /// any transport failure (the connection can be re-dialed), or a
@@ -139,7 +163,16 @@ impl ClientError {
     }
 }
 
-/// Configures and opens a v2 [`Client`]. See [`Client::builder`].
+/// The error for a line a request did not expect: the server's own error
+/// line, or anything else as a protocol error.
+fn unexpected(response: Response) -> ClientError {
+    match response {
+        Response::Error { code, reason, .. } => ClientError::Server { code, reason },
+        other => ClientError::Protocol(format!("unexpected response {other:?}")),
+    }
+}
+
+/// Configures and opens a [`Client`]. See [`Client::builder`].
 #[derive(Debug, Clone)]
 pub struct ClientBuilder {
     addr: String,
@@ -195,11 +228,9 @@ impl ClientBuilder {
             reader,
             writer,
             negotiated,
-            idempotency_prefix: self.idempotency_prefix.clone(),
             key_seq: 0,
-            retry: self.retry,
             jitter_state: splitmix64(self.retry_seed),
-            reconnect: Some(self),
+            config: self,
         })
     }
 }
@@ -251,30 +282,11 @@ fn recv_on(reader: &mut BufReader<TcpStream>) -> Result<Response, ClientError> {
 }
 
 impl Client {
-    /// Raw connection, no handshake, `String` errors — the original
-    /// constructor, kept for compatibility. New code should use
-    /// [`Client::builder`], which negotiates the protocol version and
-    /// returns typed errors.
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        let writer = stream.try_clone()?;
-        Ok(Self {
-            reader: BufReader::new(stream),
-            writer,
-            negotiated: 1,
-            idempotency_prefix: None,
-            key_seq: 0,
-            reconnect: None,
-            retry: None,
-            jitter_state: 1,
-        })
-    }
-
-    /// Start a protocol-v2 client configuration for `addr`.
-    pub fn builder(addr: impl Into<String>) -> ClientBuilder {
+    /// Start a client configuration for `addr` (anything that prints as
+    /// `host:port`).
+    pub fn builder(addr: impl ToString) -> ClientBuilder {
         ClientBuilder {
-            addr: addr.into(),
+            addr: addr.to_string(),
             read_timeout: None,
             tenant: None,
             idempotency_prefix: None,
@@ -283,60 +295,56 @@ impl Client {
         }
     }
 
-    /// The protocol version settled with the server (1 without handshake).
+    /// The protocol version settled with the server by `hello`.
     pub fn protocol_version(&self) -> u64 {
         self.negotiated
     }
 
-    /// Optional read timeout for every subsequent receive.
-    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
-    }
-
     /// Send one request line.
-    pub fn send(&mut self, request: &Request) -> Result<(), String> {
-        let line = request.to_json().to_string();
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("send failed: {e}"))
+    pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
+        send_on(&self.writer, request)
     }
 
     /// Receive one response line.
-    pub fn recv(&mut self) -> Result<Response, String> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = self
-                .reader
-                .read_line(&mut line)
-                .map_err(|e| format!("recv failed: {e}"))?;
-            if n == 0 {
-                return Err("server closed the connection".into());
-            }
-            let trimmed = line.trim();
-            if !trimmed.is_empty() {
-                return Response::parse_line(trimmed);
-            }
-        }
+    pub fn recv(&mut self) -> Result<Response, ClientError> {
+        recv_on(&mut self.reader)
     }
 
-    /// Send + receive one response.
-    pub fn request(&mut self, request: &Request) -> Result<Response, String> {
+    fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.send(request)?;
         self.recv()
     }
 
-    fn request_typed(&mut self, request: &Request) -> Result<Response, ClientError> {
-        send_on(&self.writer, request)?;
-        recv_on(&mut self.reader)
+    /// Read lines until `take` accepts one. An error line about `job`, or
+    /// about no job at all, ends the wait; other jobs' traffic on a shared
+    /// connection is skipped.
+    fn read_until<T>(
+        &mut self,
+        job: JobId,
+        mut take: impl FnMut(Response) -> Option<T>,
+    ) -> Result<T, ClientError> {
+        loop {
+            match self.recv()? {
+                Response::Error {
+                    job: id,
+                    code,
+                    reason,
+                } if id.is_none_or(|id| id == job) => {
+                    return Err(ClientError::Server { code, reason })
+                }
+                other => {
+                    if let Some(t) = take(other) {
+                        return Ok(t);
+                    }
+                }
+            }
+        }
     }
 
     /// Sleep the backoff for retry `attempt` (0-based): `min(cap, base*2^n)`
     /// scaled by deterministic jitter in `[0.5, 1.0)`.
     fn backoff(&mut self, attempt: u32) {
-        let Some(p) = self.retry else { return };
+        let Some(p) = self.config.retry else { return };
         let exp = p.base.saturating_mul(1u32 << attempt.min(16));
         let draw = splitmix64(self.jitter_state);
         self.jitter_state = draw;
@@ -350,12 +358,7 @@ impl Client {
     /// Re-dial and replay the handshake after a transport failure. Keeps
     /// the idempotency key sequence — a replayed submit reuses its key.
     fn redial(&mut self) -> Result<(), ClientError> {
-        let Some(cfg) = self.reconnect.clone() else {
-            return Err(ClientError::Protocol(
-                "cannot reconnect: client was built without Client::builder".into(),
-            ));
-        };
-        let (reader, writer, negotiated) = dial(&cfg)?;
+        let (reader, writer, negotiated) = dial(&self.config)?;
         self.reader = reader;
         self.writer = writer;
         self.negotiated = negotiated;
@@ -368,7 +371,7 @@ impl Client {
         &mut self,
         mut op: impl FnMut(&mut Self) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
-        let max = self.retry.map_or(0, |p| p.max);
+        let max = self.config.retry.map_or(0, |p| p.max);
         let mut attempt = 0u32;
         loop {
             match op(self) {
@@ -387,20 +390,10 @@ impl Client {
         }
     }
 
-    /// Submit a job; returns its id.
-    pub fn submit(&mut self, spec: &JobSpec) -> Result<JobId, String> {
-        match self.request(&Request::Submit(Box::new(spec.clone())))? {
-            Response::Submitted { job, .. } => Ok(job),
-            Response::Rejected { reason, .. } => Err(format!("rejected: {reason}")),
-            Response::Error { reason, .. } => Err(reason),
-            other => Err(format!("unexpected response {other:?}")),
-        }
-    }
-
-    /// Submit with typed errors and duplicate detection. When the builder
-    /// configured an idempotency prefix and the spec carries no key, a
-    /// generated key is attached so a retry of this submit (even over a new
-    /// connection with the same prefix sequence) lands on the same job.
+    /// Submit a job, with duplicate detection. When the builder configured
+    /// an idempotency prefix and the spec carries no key, a generated key
+    /// is attached so a retry of this submit (even over a new connection
+    /// with the same prefix sequence) lands on the same job.
     ///
     /// With [`ClientBuilder::retry`] configured, retryable failures back
     /// off and resubmit automatically — always with the *same* key, so the
@@ -408,170 +401,84 @@ impl Client {
     pub fn try_submit(&mut self, spec: &JobSpec) -> Result<SubmitAck, ClientError> {
         let mut spec = spec.clone();
         if spec.idempotency_key.is_none() {
-            if let Some(prefix) = &self.idempotency_prefix {
+            if let Some(prefix) = &self.config.idempotency_prefix {
                 spec.idempotency_key = Some(format!("{prefix}-{}", self.key_seq));
                 self.key_seq += 1;
             }
         }
         let request = Request::Submit(Box::new(spec));
-        self.with_retry(|c| match c.request_typed(&request)? {
+        self.with_retry(|c| match c.request(&request)? {
             Response::Submitted { job, duplicate } => Ok(SubmitAck { job, duplicate }),
             Response::Rejected { code, reason } => Err(ClientError::Rejected { code, reason }),
-            Response::Error { code, reason, .. } => Err(ClientError::Server { code, reason }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         })
     }
 
     /// Snapshot a job's phase and best energy.
-    pub fn status(&mut self, job: JobId) -> Result<(String, Option<i64>), String> {
+    pub fn status(&mut self, job: JobId) -> Result<(String, Option<i64>), ClientError> {
         match self.request(&Request::Status(job))? {
             Response::Status { phase, best, .. } => Ok((phase, best)),
-            Response::Error { reason, .. } => Err(reason),
-            other => Err(format!("unexpected response {other:?}")),
+            other => Err(unexpected(other)),
         }
     }
 
     /// Cancel a job; returns its phase after the cancel registered.
-    pub fn cancel(&mut self, job: JobId) -> Result<String, String> {
+    pub fn cancel(&mut self, job: JobId) -> Result<String, ClientError> {
         match self.request(&Request::Cancel(job))? {
             Response::CancelAck { phase, .. } => Ok(phase),
-            Response::Error { reason, .. } => Err(reason),
-            other => Err(format!("unexpected response {other:?}")),
-        }
-    }
-
-    /// Block until the job is terminal and return its outcome. Skips
-    /// interleaved lines that belong to other jobs on this connection.
-    pub fn wait_result(&mut self, job: JobId) -> Result<JobOutcome, String> {
-        self.send(&Request::Result(job))?;
-        loop {
-            match self.recv()? {
-                Response::Done {
-                    job: id,
-                    phase,
-                    result,
-                    error,
-                } if id == job => {
-                    return Ok(JobOutcome {
-                        job,
-                        phase,
-                        result: result.map(|b| *b),
-                        error,
-                    })
-                }
-                Response::Error {
-                    job: Some(id),
-                    reason,
-                    ..
-                } if id == job => return Err(reason),
-                Response::Error {
-                    job: None, reason, ..
-                } => return Err(reason),
-                _ => continue, // other jobs' traffic on a shared connection
-            }
+            other => Err(unexpected(other)),
         }
     }
 
     /// Subscribe to a job's incumbent stream. Returns the `(energy, at_ms)`
     /// sequence observed and the terminal outcome.
-    pub fn subscribe(&mut self, job: JobId) -> Result<(Vec<(i64, u64)>, JobOutcome), String> {
+    pub fn subscribe(&mut self, job: JobId) -> Result<(Vec<(i64, u64)>, JobOutcome), ClientError> {
         self.send(&Request::Subscribe(job))?;
         let mut incumbents = Vec::new();
-        loop {
-            match self.recv()? {
-                Response::Incumbent {
-                    job: id,
-                    energy,
-                    at_ms,
-                } if id == job => incumbents.push((energy, at_ms)),
-                Response::Done {
-                    job: id,
-                    phase,
-                    result,
-                    error,
-                } if id == job => {
-                    return Ok((
-                        incumbents,
-                        JobOutcome {
-                            job,
-                            phase,
-                            result: result.map(|b| *b),
-                            error,
-                        },
-                    ))
-                }
-                Response::Error {
-                    job: Some(id),
-                    reason,
-                    ..
-                } if id == job => return Err(reason),
-                _ => continue,
+        let outcome = self.read_until(job, |r| match r {
+            Response::Incumbent {
+                job: id,
+                energy,
+                at_ms,
+            } if id == job => {
+                incumbents.push((energy, at_ms));
+                None
             }
-        }
+            other => JobOutcome::from_done(other, job),
+        })?;
+        Ok((incumbents, outcome))
     }
 
-    /// Typed `wait_result`: block until the job is terminal. With
-    /// [`ClientBuilder::retry`] configured, a connection lost mid-wait is
-    /// re-dialed and the `result` request re-issued — results are replayed
-    /// for terminal jobs, so the retry converges.
+    /// Block until the job is terminal and return its outcome. Skips
+    /// interleaved lines that belong to other jobs on this connection.
+    /// With [`ClientBuilder::retry`] configured, a connection lost mid-wait
+    /// is re-dialed and the `result` request re-issued — results are
+    /// replayed for terminal jobs, so the retry converges.
     pub fn try_wait_result(&mut self, job: JobId) -> Result<JobOutcome, ClientError> {
         self.with_retry(|c| {
-            send_on(&c.writer, &Request::Result(job))?;
-            loop {
-                match recv_on(&mut c.reader)? {
-                    Response::Done {
-                        job: id,
-                        phase,
-                        result,
-                        error,
-                    } if id == job => {
-                        return Ok(JobOutcome {
-                            job,
-                            phase,
-                            result: result.map(|b| *b),
-                            error,
-                        })
-                    }
-                    Response::Error {
-                        job: Some(id),
-                        code,
-                        reason,
-                    } if id == job => return Err(ClientError::Server { code, reason }),
-                    Response::Error {
-                        job: None,
-                        code,
-                        reason,
-                    } => return Err(ClientError::Server { code, reason }),
-                    _ => continue, // other jobs' traffic on a shared connection
-                }
-            }
+            c.send(&Request::Result(job))?;
+            c.read_until(job, |r| JobOutcome::from_done(r, job))
         })
     }
 
     /// Server health: `("ok" | "degraded" | "draining", reasons)`.
     pub fn health(&mut self) -> Result<(String, Vec<String>), ClientError> {
-        match self.request_typed(&Request::Health)? {
+        match self.request(&Request::Health)? {
             Response::Health { status, reasons } => Ok((status, reasons)),
-            Response::Error { code, reason, .. } => Err(ClientError::Server { code, reason }),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response {other:?}"
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
     /// Runtime counters.
-    pub fn stats(&mut self) -> Result<Response, String> {
+    pub fn stats(&mut self) -> Result<Response, ClientError> {
         self.request(&Request::Stats)
     }
 
     /// Full observability snapshot (solver + pool counters, histograms).
-    pub fn metrics(&mut self) -> Result<dabs_core::MetricSet, String> {
+    pub fn metrics(&mut self) -> Result<dabs_core::MetricSet, ClientError> {
         match self.request(&Request::Metrics)? {
             Response::Metrics { metrics } => Ok(*metrics),
-            Response::Error { reason, .. } => Err(reason),
-            other => Err(format!("unexpected response {other:?}")),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -580,33 +487,23 @@ impl Client {
     pub fn timeline(
         &mut self,
         job: JobId,
-    ) -> Result<(Vec<crate::obs::TimelineEvent>, u64), String> {
+    ) -> Result<(Vec<crate::obs::TimelineEvent>, u64), ClientError> {
         self.send(&Request::Timeline(job))?;
-        loop {
-            match self.recv()? {
-                Response::Timeline {
-                    job: id,
-                    events,
-                    dropped,
-                } if id == job => return Ok((events, dropped)),
-                Response::Error {
-                    job: Some(id),
-                    reason,
-                    ..
-                } if id == job => return Err(reason),
-                Response::Error {
-                    job: None, reason, ..
-                } => return Err(reason),
-                _ => continue, // other jobs' traffic on a shared connection
-            }
-        }
+        self.read_until(job, |r| match r {
+            Response::Timeline {
+                job: id,
+                events,
+                dropped,
+            } if id == job => Some((events, dropped)),
+            _ => None,
+        })
     }
 
     /// Liveness probe.
-    pub fn ping(&mut self) -> Result<(), String> {
+    pub fn ping(&mut self) -> Result<(), ClientError> {
         match self.request(&Request::Ping)? {
             Response::Pong => Ok(()),
-            other => Err(format!("unexpected response {other:?}")),
+            other => Err(unexpected(other)),
         }
     }
 }

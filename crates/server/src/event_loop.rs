@@ -776,12 +776,16 @@ mod tests {
         let srv = server();
         let id = srv
             .state()
-            .submit(JobSpec {
-                problem: ProblemSpec::random(24, 9),
-                max_batches: Some(400),
-                ..JobSpec::default()
-            })
-            .unwrap();
+            .admit(
+                JobSpec {
+                    problem: ProblemSpec::random(24, 9),
+                    max_batches: Some(400),
+                    ..JobSpec::default()
+                },
+                &ConnCtx::default(),
+            )
+            .unwrap()
+            .job;
         let mut conn = TcpStream::connect(srv.local_addr()).unwrap();
         conn.write_all(format!("{{\"op\":\"result\",\"job\":{id}}}\n").as_bytes())
             .unwrap();

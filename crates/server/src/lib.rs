@@ -18,24 +18,26 @@
 //!   of its unit outcomes. Jobs that repeat a generator spec share one
 //!   model from a process-wide model cache; a finished job holds none.
 //! * **Line protocol** ([`Request`]/[`Response`]) — newline-delimited JSON
-//!   over plain TCP: `submit`, `status`, `cancel`, `result`, `subscribe`,
-//!   `stats`, `ping`. See `docs/PROTOCOL.md` for the wire reference.
-//! * **Reference client** ([`Client`]) — the blocking client used by
-//!   `dabs loadgen`, the throughput benchmark, and the integration tests.
+//!   over plain TCP: `hello`, `submit`, `status`, `cancel`, `result`,
+//!   `subscribe`, `stats`, `metrics`, `timeline`, `health`, `ping`. See
+//!   `docs/PROTOCOL.md` for the wire reference.
+//! * **Reference client** ([`Client`]) — the blocking client that sends
+//!   `hello` and returns typed [`ClientError`]s; `dabs loadgen`, the bench
+//!   suite, perfbench and the integration tests all use it.
 //!
 //! ```no_run
 //! use dabs_server::{Client, JobSpec, ProblemSpec, Server, ServerConfig};
 //!
 //! let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-//! let mut client = Client::connect(server.local_addr()).unwrap();
-//! let job = client
-//!     .submit(&JobSpec {
+//! let mut client = Client::builder(server.local_addr()).connect().unwrap();
+//! let ack = client
+//!     .try_submit(&JobSpec {
 //!         problem: ProblemSpec::random(64, 7),
 //!         max_batches: Some(1_000),
 //!         ..JobSpec::default()
 //!     })
 //!     .unwrap();
-//! let outcome = client.wait_result(job).unwrap();
+//! let outcome = client.try_wait_result(ack.job).unwrap();
 //! println!("energy {}", outcome.result.unwrap().energy);
 //! server.shutdown();
 //! ```

@@ -1,5 +1,6 @@
 //! Load-driving, latency bookkeeping, and pool-gauge summaries shared by
-//! `dabs loadgen` and the throughput/server-load benches.
+//! `dabs loadgen` and the suite's `server_throughput`/`server_load`
+//! entries.
 
 use crate::client::Client;
 use crate::protocol::Response;
@@ -28,13 +29,13 @@ where
             let addr = addr.to_string();
             let spec_for = Arc::clone(&spec_for);
             std::thread::spawn(move || -> Result<Vec<Duration>, String> {
-                let mut client = Client::connect(addr.as_str()).map_err(|e| e.to_string())?;
+                let mut client = Client::builder(addr).connect()?;
                 let mut latencies = Vec::with_capacity(jobs_c);
                 for j in 0..jobs_c {
                     let spec = spec_for(c, j);
                     let submitted = Instant::now();
-                    let id = client.submit(&spec)?;
-                    let outcome = client.wait_result(id)?;
+                    let id = client.try_submit(&spec)?.job;
+                    let outcome = client.try_wait_result(id)?;
                     if outcome.phase != "done" {
                         return Err(format!("job {id} ended {}", outcome.phase));
                     }

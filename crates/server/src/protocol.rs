@@ -845,9 +845,9 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // And a v1 server ignores fields it does not know, so a v2 hello
-        // request parsing as v1 would fail with unknown_op — the client
-        // treats that as "v1 server" rather than an error.
+        // A v1 server has no `hello` verb and answers it with `unknown_op`;
+        // `Client`'s handshake then fails with `ClientError::Protocol`, since
+        // the client needs a v2 server. This server parses the hello line.
         assert_eq!(
             Request::parse_line("{\"op\":\"hello\",\"version\":2}").unwrap(),
             Request::Hello {

@@ -43,9 +43,8 @@ pub struct ServerConfig {
     /// Per-tenant admission rate limit; `None` (the default) never
     /// throttles.
     pub rate: Option<RateConfig>,
-    /// Seeded fault-injection plan (`serve --chaos`). `None` also consults
-    /// the `DABS_CHAOS` env var at bind, so tests can arm a storm without
-    /// plumbing config.
+    /// Seeded fault-injection plan (`serve --chaos`); `None` (the default)
+    /// injects nothing. Nothing else arms one.
     pub chaos: Option<Arc<FaultPlan>>,
     /// Keep admitting jobs while the job log is degraded (write/fsync
     /// errors): durability is declared lost instead of refusing submits
@@ -133,14 +132,6 @@ impl std::fmt::Debug for ServerState {
 }
 
 impl ServerState {
-    /// Admission, stringly-typed: the pre-v2 in-process API, kept for
-    /// embedders and tests. Thin wrapper over [`ServerState::admit`].
-    pub fn submit(&self, spec: JobSpec) -> Result<JobId, String> {
-        self.admit(spec, &ConnCtx::default())
-            .map(|a| a.job)
-            .map_err(|e| e.reason)
-    }
-
     /// Admission: validate, rate-limit, collapse idempotent duplicates,
     /// register, hand the record to the pool, and log the admit. On
     /// refusal the record is evicted so rejected jobs leave no trace — in
@@ -428,7 +419,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let registry = Arc::new(JobRegistry::new());
-        let chaos = config.chaos.clone().or_else(FaultPlan::from_env);
+        let chaos = config.chaos.clone();
         let pool = Arc::new(ElasticPool::spawn_with_chaos(
             config.workers,
             config.queue_capacity,
@@ -595,7 +586,11 @@ mod tests {
     #[test]
     fn in_process_submit_executes_to_done() {
         let srv = server();
-        let id = srv.state().submit(job(1, 100)).unwrap();
+        let id = srv
+            .state()
+            .admit(job(1, 100), &ConnCtx::default())
+            .unwrap()
+            .job;
         let record = srv.state().registry.get(id).unwrap();
         assert!(record.wait_terminal(Duration::from_secs(30)));
         let (phase, result, _) = record.snapshot();
@@ -611,13 +606,16 @@ mod tests {
             max_batches: None,
             ..job(1, 0)
         };
-        assert!(srv.state().submit(unbounded).is_err());
+        assert!(srv.state().admit(unbounded, &ConnCtx::default()).is_err());
         let past_deadline = JobSpec {
             deadline_unix_ms: Some(1),
             ..job(1, 10)
         };
-        let err = srv.state().submit(past_deadline).unwrap_err();
-        assert!(err.contains("deadline"), "{err}");
+        let err = srv
+            .state()
+            .admit(past_deadline, &ConnCtx::default())
+            .unwrap_err();
+        assert!(err.reason.contains("deadline"), "{err}");
         srv.shutdown();
     }
 
@@ -643,12 +641,15 @@ mod tests {
         let srv = server();
         let err = srv
             .state()
-            .submit(JobSpec {
-                deadline_unix_ms: Some(1),
-                ..job(2, 10)
-            })
+            .admit(
+                JobSpec {
+                    deadline_unix_ms: Some(1),
+                    ..job(2, 10)
+                },
+                &ConnCtx::default(),
+            )
             .unwrap_err();
-        assert!(err.contains("deadline"));
+        assert!(err.reason.contains("deadline"));
         let (queued, running, terminal) = srv.state().registry.phase_counts();
         assert_eq!((queued, running, terminal), (0, 0, 0));
         srv.shutdown();
@@ -762,12 +763,16 @@ mod tests {
         // watcher list keeps holding this connection's sink.
         let id = srv
             .state()
-            .submit(JobSpec {
-                time_ms: Some(10_000),
-                max_batches: None,
-                ..job(4, 0)
-            })
-            .unwrap();
+            .admit(
+                JobSpec {
+                    time_ms: Some(10_000),
+                    max_batches: None,
+                    ..job(4, 0)
+                },
+                &ConnCtx::default(),
+            )
+            .unwrap()
+            .job;
         let mut conn = TcpStream::connect(srv.local_addr()).unwrap();
         conn.write_all(format!("{{\"op\":\"subscribe\",\"job\":{id}}}\n").as_bytes())
             .unwrap();
@@ -884,7 +889,7 @@ mod tests {
         let srv = server();
         // More work than the two workers finish instantly, then shut down.
         for seed in 0..6 {
-            let _ = srv.state().submit(job(seed, 50));
+            let _ = srv.state().admit(job(seed, 50), &ConnCtx::default());
         }
         let t0 = std::time::Instant::now();
         srv.shutdown();

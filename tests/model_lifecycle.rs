@@ -44,17 +44,22 @@ fn served_models_stay_within_the_cache_budget() {
         },
     )
     .expect("bind ephemeral server");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut client = Client::builder(server.local_addr())
+        .connect()
+        .expect("connect");
     let mut ids = Vec::new();
     for seed in 1..=jobs as u64 {
-        let id = client.submit(&dense_spec(seed)).expect("admitted");
-        let outcome = client.wait_result(id).expect("result");
+        let id = client.try_submit(&dense_spec(seed)).expect("admitted").job;
+        let outcome = client.try_wait_result(id).expect("result");
         assert_eq!(outcome.phase, "done", "{:?}", outcome.error);
         ids.push(id);
     }
     // The newest spec is still cached: serving it again builds nothing.
-    let again = client.submit(&dense_spec(jobs as u64)).expect("admitted");
-    assert_eq!(client.wait_result(again).expect("result").phase, "done");
+    let again = client
+        .try_submit(&dense_spec(jobs as u64))
+        .expect("admitted")
+        .job;
+    assert_eq!(client.try_wait_result(again).expect("result").phase, "done");
     ids.push(again);
 
     for &id in &ids {

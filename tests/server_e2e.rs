@@ -15,6 +15,8 @@ use dabs::server::{
     now_unix_ms, timeline_to_chrome, Client, JobSpec, ProblemSpec, Request, Response, Server,
     ServerConfig, TimelineKind, PROTOCOL_VERSION,
 };
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// How quickly a mid-run `cancel` must produce the terminal result.
@@ -71,13 +73,13 @@ fn concurrent_clients_get_results_matching_offline_reference() {
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
+                let mut client = Client::builder(addr).connect().expect("connect");
                 let mut outcomes = Vec::new();
                 for j in 0..JOBS_PER_CLIENT {
                     let seed = 100 + (c * JOBS_PER_CLIENT + j) as u64;
                     let spec = job(20 + 2 * j, seed, 120);
-                    let id = client.submit(&spec).expect("submit");
-                    let outcome = client.wait_result(id).expect("result");
+                    let id = client.try_submit(&spec).expect("submit").job;
+                    let outcome = client.try_wait_result(id).expect("result");
                     outcomes.push((spec, outcome));
                 }
                 outcomes
@@ -112,10 +114,13 @@ fn concurrent_clients_get_results_matching_offline_reference() {
 fn mid_run_cancel_is_honored_quickly() {
     let server = start_server(1);
     let addr = server.local_addr();
-    let mut client = Client::connect(addr).expect("connect");
+    let mut client = Client::builder(addr).connect().expect("connect");
 
     // Effectively unbounded batch budget: only the cancel ends it.
-    let id = client.submit(&job(48, 7, u64::MAX / 2)).expect("submit");
+    let id = client
+        .try_submit(&job(48, 7, u64::MAX / 2))
+        .expect("submit")
+        .job;
 
     // Wait until the single worker picks it up.
     let t0 = Instant::now();
@@ -135,7 +140,7 @@ fn mid_run_cancel_is_honored_quickly() {
     let cancel_at = Instant::now();
     let phase = client.cancel(id).expect("cancel");
     assert!(phase == "running" || phase == "cancelled", "{phase}");
-    let outcome = client.wait_result(id).expect("result after cancel");
+    let outcome = client.try_wait_result(id).expect("result after cancel");
     let latency = cancel_at.elapsed();
     let bound = cancel_latency_bound();
     assert!(latency < bound, "cancel took {latency:?} (bound {bound:?})");
@@ -148,13 +153,18 @@ fn mid_run_cancel_is_honored_quickly() {
 #[test]
 fn past_deadline_job_is_rejected_at_admission() {
     let server = start_server(1);
-    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut client = Client::builder(server.local_addr())
+        .connect()
+        .expect("connect");
 
     let late = JobSpec {
         deadline_unix_ms: Some(now_unix_ms().saturating_sub(2_000)),
         ..job(16, 3, 50)
     };
-    let err = client.submit(&late).expect_err("must be rejected");
+    let err = client
+        .try_submit(&late)
+        .expect_err("must be rejected")
+        .to_string();
     assert!(err.contains("deadline"), "{err}");
 
     // And the raw wire response really is a `rejected` line.
@@ -174,8 +184,11 @@ fn past_deadline_job_is_rejected_at_admission() {
         deadline_unix_ms: Some(now_unix_ms() + 120_000),
         ..job(16, 3, 50)
     };
-    let id = client.submit(&ok).expect("future deadline admitted");
-    assert_eq!(client.wait_result(id).unwrap().phase, "done");
+    let id = client
+        .try_submit(&ok)
+        .expect("future deadline admitted")
+        .job;
+    assert_eq!(client.try_wait_result(id).unwrap().phase, "done");
     server.shutdown();
 }
 
@@ -187,21 +200,25 @@ fn subscribe_streams_monotone_incumbents() {
     // Park the single worker on a blocker so the real job stays queued
     // until the subscription is definitely attached — no race between
     // subscribing and the job finishing.
-    let mut submitter = Client::connect(addr).expect("connect");
+    let mut submitter = Client::builder(addr).connect().expect("connect");
     let blocker = submitter
-        .submit(&JobSpec {
+        .try_submit(&JobSpec {
             time_ms: Some(300),
             max_batches: None,
             ..job(32, 1, 0)
         })
-        .expect("blocker");
+        .expect("blocker")
+        .job;
     // Big enough instance and budget that the best improves several times.
-    let id = submitter.submit(&job(64, 11, 4_000)).expect("submit");
+    let id = submitter
+        .try_submit(&job(64, 11, 4_000))
+        .expect("submit")
+        .job;
 
     // Subscribe from a second connection, as a dashboard would.
-    let mut watcher = Client::connect(addr).expect("connect watcher");
+    let mut watcher = Client::builder(addr).connect().expect("connect watcher");
     let (incumbents, outcome) = watcher.subscribe(id).expect("subscribe stream");
-    submitter.wait_result(blocker).expect("blocker result");
+    submitter.try_wait_result(blocker).expect("blocker result");
 
     assert_eq!(outcome.phase, "done");
     let final_energy = outcome.result.expect("result").energy;
@@ -229,34 +246,37 @@ fn priorities_order_queued_work_on_a_busy_server() {
     // job: the high-priority one must finish first.
     let server = start_server(1);
     let addr = server.local_addr();
-    let mut client = Client::connect(addr).expect("connect");
+    let mut client = Client::builder(addr).connect().expect("connect");
 
     let blocker = client
-        .submit(&JobSpec {
+        .try_submit(&JobSpec {
             time_ms: Some(600),
             max_batches: None,
             ..job(32, 1, 0)
         })
-        .expect("blocker");
+        .expect("blocker")
+        .job;
     let low = client
-        .submit(&JobSpec {
+        .try_submit(&JobSpec {
             priority: -5,
             ..job(16, 2, 40)
         })
-        .expect("low");
+        .expect("low")
+        .job;
     let high = client
-        .submit(&JobSpec {
+        .try_submit(&JobSpec {
             priority: 5,
             ..job(16, 3, 40)
         })
-        .expect("high");
+        .expect("high")
+        .job;
 
     // Register both result-waits on ONE connection: terminal `done` lines
     // are pushed in completion order, so the arrival order on this socket
     // IS the execution order — no wall-clock comparison, no race. The
     // request order (low first) is the opposite of the expected completion
     // order, so a broken scheduler would flip the arrivals.
-    let mut waiter = Client::connect(addr).expect("connect");
+    let mut waiter = Client::builder(addr).connect().expect("connect");
     waiter.send(&Request::Result(low)).expect("send");
     waiter.send(&Request::Result(high)).expect("send");
     let mut done_order = Vec::new();
@@ -271,7 +291,7 @@ fn priorities_order_queued_work_on_a_busy_server() {
         vec![high, low],
         "high priority must complete before low"
     );
-    client.wait_result(blocker).expect("blocker result");
+    client.try_wait_result(blocker).expect("blocker result");
     server.shutdown();
 }
 
@@ -284,11 +304,19 @@ fn graceful_shutdown_drains_in_flight_units() {
     // and keeping its best-so-far result.
     let server = start_server(1);
     let addr = server.local_addr();
-    let mut client = Client::connect(addr).expect("connect");
+    let mut client = Client::builder(addr).connect().expect("connect");
 
-    let running_id = client.submit(&job(32, 9, u64::MAX / 2)).expect("submit");
+    let running_id = client
+        .try_submit(&job(32, 9, u64::MAX / 2))
+        .expect("submit")
+        .job;
     let queued_ids: Vec<_> = (0..3)
-        .map(|i| client.submit(&job(16, 20 + i, 500)).expect("submit"))
+        .map(|i| {
+            client
+                .try_submit(&job(16, 20 + i, 500))
+                .expect("submit")
+                .job
+        })
         .collect();
 
     let t0 = Instant::now();
@@ -335,17 +363,20 @@ fn graceful_shutdown_drains_in_flight_units() {
 #[test]
 fn timeline_reconstructs_a_decomposed_job_and_exports_a_chrome_trace() {
     let server = start_server(2);
-    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut client = Client::builder(server.local_addr())
+        .connect()
+        .expect("connect");
 
     // Explicitly decompose into 4 stealable units so the timeline carries
     // several unit spans (with queue waits) rather than one whole-job run.
     let id = client
-        .submit(&JobSpec {
+        .try_submit(&JobSpec {
             units: Some(4),
             ..job(48, 13, 2_000)
         })
-        .expect("submit");
-    let outcome = client.wait_result(id).expect("result");
+        .expect("submit")
+        .job;
+    let outcome = client.try_wait_result(id).expect("result");
     assert_eq!(outcome.phase, "done", "{:?}", outcome.error);
 
     let (events, dropped) = client.timeline(id).expect("timeline");
@@ -448,14 +479,33 @@ fn v2_handshake_negotiates_and_v1_clients_still_work() {
     assert_eq!(v2.protocol_version(), PROTOCOL_VERSION);
     let ack = v2.try_submit(&job(16, 4, 30)).expect("typed submit");
     assert!(!ack.duplicate);
-    assert_eq!(v2.wait_result(ack.job).expect("result").phase, "done");
+    assert_eq!(v2.try_wait_result(ack.job).expect("result").phase, "done");
 
-    // The legacy constructor speaks v1 — no hello, same verbs, same
+    // A connection that never sends `hello` speaks v1: same verbs, same
     // answers. Existing deployments must keep working unchanged.
-    let mut v1 = Client::connect(server.local_addr()).expect("v1 connect");
-    assert_eq!(v1.protocol_version(), 1);
-    let id = v1.submit(&job(16, 5, 30)).expect("v1 submit");
-    assert_eq!(v1.wait_result(id).expect("result").phase, "done");
+    let mut v1 = TcpStream::connect(server.local_addr()).expect("v1 connect");
+    let mut lines = BufReader::new(v1.try_clone().expect("clone")).lines();
+    let mut next = || {
+        let line = lines.next().expect("server closed").expect("read line");
+        Response::parse_line(&line).expect("parse line")
+    };
+    let submit = Request::Submit(Box::new(job(16, 5, 30))).to_json();
+    writeln!(v1, "{submit}").expect("v1 submit");
+    let id = match next() {
+        Response::Submitted { job, duplicate } => {
+            assert!(!duplicate);
+            job
+        }
+        other => panic!("expected submitted, got {other:?}"),
+    };
+    writeln!(v1, "{}", Request::Result(id).to_json()).expect("v1 result");
+    match next() {
+        Response::Done { job, phase, .. } => {
+            assert_eq!(job, id);
+            assert_eq!(phase, "done");
+        }
+        other => panic!("expected done, got {other:?}"),
+    }
     server.shutdown();
 }
 
@@ -471,7 +521,7 @@ fn idempotent_resubmit_collapses_over_the_wire() {
     };
     let first = client.try_submit(&spec).expect("first submit");
     assert!(!first.duplicate);
-    let outcome = client.wait_result(first.job).expect("result");
+    let outcome = client.try_wait_result(first.job).expect("result");
     assert_eq!(outcome.phase, "done");
     let energy = outcome.result.expect("result").energy;
 
@@ -481,7 +531,7 @@ fn idempotent_resubmit_collapses_over_the_wire() {
     let second = retry.try_submit(&spec).expect("resubmit");
     assert!(second.duplicate, "same key must collapse");
     assert_eq!(second.job, first.job);
-    let replayed = retry.wait_result(second.job).expect("replayed result");
+    let replayed = retry.try_wait_result(second.job).expect("replayed result");
     assert_eq!(replayed.phase, "done");
     assert_eq!(replayed.result.expect("result").energy, energy);
     server.shutdown();
@@ -516,7 +566,7 @@ fn wal_preserves_jobs_across_graceful_restart() {
             })
             .expect("submit");
         first_id = ack.job;
-        let outcome = client.wait_result(ack.job).expect("result");
+        let outcome = client.try_wait_result(ack.job).expect("result");
         assert_eq!(outcome.phase, "done");
         energy = outcome.result.expect("result").energy;
         server.shutdown();
@@ -536,7 +586,7 @@ fn wal_preserves_jobs_across_graceful_restart() {
         .expect("resubmit");
     assert!(again.duplicate, "key must survive the restart");
     assert_eq!(again.job, first_id);
-    let replayed = client.wait_result(again.job).expect("replayed result");
+    let replayed = client.try_wait_result(again.job).expect("replayed result");
     assert_eq!(replayed.phase, "done");
     assert_eq!(replayed.result.expect("result").energy, energy);
 
@@ -545,7 +595,10 @@ fn wal_preserves_jobs_across_graceful_restart() {
         fresh.job > first_id,
         "id allocation resumes past replayed ids"
     );
-    assert_eq!(client.wait_result(fresh.job).expect("result").phase, "done");
+    assert_eq!(
+        client.try_wait_result(fresh.job).expect("result").phase,
+        "done"
+    );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
@@ -553,10 +606,12 @@ fn wal_preserves_jobs_across_graceful_restart() {
 #[test]
 fn stats_and_ping_respond_over_the_wire() {
     let server = start_server(2);
-    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut client = Client::builder(server.local_addr())
+        .connect()
+        .expect("connect");
     client.ping().expect("ping");
-    let id = client.submit(&job(16, 5, 30)).expect("submit");
-    client.wait_result(id).expect("result");
+    let id = client.try_submit(&job(16, 5, 30)).expect("submit").job;
+    client.try_wait_result(id).expect("result");
     match client.stats().expect("stats") {
         Response::Stats {
             finished, workers, ..
