@@ -1379,8 +1379,8 @@ pub mod obs_overhead {
     /// composites in timed slices, each slice's flips/s recorded. The
     /// instrumented arm additionally times each batch and reports it
     /// (strategy, flip count, Δ-segment re-reductions, improved?, wall
-    /// time) to an accumulator — the exact call sequence
-    /// `SeqEngine::one_batch` makes.
+    /// time, and how it overlapped its unit's other threads) to an
+    /// accumulator — the exact call sequence `SeqEngine::fold` makes.
     struct Arm<'m> {
         st: IncrementalState<'m>,
         best: BestTracker,
@@ -1427,6 +1427,7 @@ pub mod obs_overhead {
             if let (Some(acc), Some(started)) = (self.acc.as_mut(), started) {
                 let reds = st.seg_reductions();
                 let improved = best.energy() < self.last_best;
+                acc.on_overlap(false, Duration::ZERO);
                 acc.on_batch(0, done, reds - self.last_reds, improved, started.elapsed());
                 self.last_reds = reds;
                 self.last_best = best.energy();

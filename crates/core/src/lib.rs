@@ -18,11 +18,16 @@
 //! time it explores uniformly). Pairs that produce good solutions therefore
 //! occupy more rows and get selected more often — no explicit scoring model.
 //!
-//! [`DabsSolver`] has one engine: a sequential unit that round-robins over
-//! every pool and its inline device, the paper's GPU called directly on the
-//! unit's thread. [`DabsSolver::run_sequential`] steps one unit and is
-//! bit-for-bit deterministic; [`DabsSolver::run`] steps `blocks_per_device`
-//! units on scoped threads and folds their outcomes.
+//! [`DabsSolver`] has one engine: a unit that round-robins over every pool
+//! and its inline device, the paper's GPU called directly. Batch `j` runs
+//! on device `j mod D`; a unit given several threads
+//! ([`UnitRun::set_threads`]) runs its devices' batches side by side, as
+//! the paper's GPUs do, but commits them strictly in round-robin order, so
+//! its result is bit-identical to the one-thread loop.
+//! [`DabsSolver::run_sequential`] steps one unit on the caller's thread and
+//! is bit-for-bit deterministic; [`DabsSolver::run`] steps
+//! `blocks_per_device` one-thread units on scoped threads and folds their
+//! outcomes; the server gives each unit its share of the host's cores.
 //! The authors' earlier fixed-strategy ABS solver is available as the
 //! [`DabsConfig::abs_baseline`] preset.
 //!

@@ -38,6 +38,13 @@ pub struct SolverObs {
     /// per-algorithm totals, split out so dashboards can tell lane-batched
     /// throughput from scalar throughput.
     pub bulk_flips: Counter,
+    /// Batches that ran while an earlier batch of the same unit was not yet
+    /// committed: the batches a unit's threads overlapped.
+    pub overlap_batches: Counter,
+    /// Time unit threads waited for an earlier fold (an Xrossover
+    /// neighbour's, or their turn to commit), in nanoseconds (exported in
+    /// µs as `solver.fold_wait_us`).
+    pub fold_wait_ns: Counter,
 }
 
 impl SolverObs {
@@ -49,6 +56,8 @@ impl SolverObs {
             incumbents_by_algo: std::array::from_fn(|_| Counter::new()),
             seg_reductions: Counter::new(),
             bulk_flips: Counter::new(),
+            overlap_batches: Counter::new(),
+            fold_wait_ns: Counter::new(),
         }
     }
 
@@ -95,6 +104,18 @@ impl SolverObs {
             "count",
             up,
         ));
+        set.push(Metric::new(
+            "solver.overlap_batches",
+            self.overlap_batches.get() as f64,
+            "count",
+            up,
+        ));
+        set.push(Metric::new(
+            "solver.fold_wait_us",
+            self.fold_wait_ns.get() as f64 / 1e3,
+            "us",
+            Direction::LowerIsBetter,
+        ));
         for algo in MainAlgorithm::ALL {
             let i = algo.index();
             set.push(Metric::new(
@@ -137,6 +158,8 @@ pub struct ObsAccumulator {
     pend_incumbents: [u64; N_ALGOS],
     pend_reductions: u64,
     pend_bulk_flips: u64,
+    pend_overlap: u64,
+    pend_fold_wait_ns: u64,
 }
 
 impl ObsAccumulator {
@@ -178,6 +201,16 @@ impl ObsAccumulator {
         self.pend_bulk_flips += flips;
     }
 
+    /// Record how the next batch tallied by [`Self::on_batch`] met its
+    /// unit's other threads: whether it ran while an earlier batch was not
+    /// yet committed, and how long its thread waited for earlier folds.
+    /// Publishes on the same sampling cadence as `on_batch`.
+    #[inline]
+    pub fn on_overlap(&mut self, overlapped: bool, waited: Duration) {
+        self.pend_overlap += u64::from(overlapped);
+        self.pend_fold_wait_ns += u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX);
+    }
+
     /// Publish all pending tallies to the global counters.
     pub fn flush(&mut self) {
         let obs = solver_obs();
@@ -192,6 +225,14 @@ impl ObsAccumulator {
         if self.pend_bulk_flips > 0 {
             obs.bulk_flips.add(self.pend_bulk_flips);
             self.pend_bulk_flips = 0;
+        }
+        if self.pend_overlap > 0 {
+            obs.overlap_batches.add(self.pend_overlap);
+            self.pend_overlap = 0;
+        }
+        if self.pend_fold_wait_ns > 0 {
+            obs.fold_wait_ns.add(self.pend_fold_wait_ns);
+            self.pend_fold_wait_ns = 0;
         }
         for i in 0..N_ALGOS {
             if self.pend_flips[i] > 0 {

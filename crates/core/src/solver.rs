@@ -7,14 +7,18 @@
 //! the run's best.
 //!
 //! One engine, `SeqEngine`, runs that loop: a deterministic round-robin
-//! over all `devices` pools on one thread, resumable in batch quanta
-//! ([`DabsSolver::start_unit`]). Everything parallel is built from its units:
+//! over all `devices` pools, resumable in batch quanta
+//! ([`DabsSolver::start_unit`]). A unit may run its devices' batches side
+//! by side on several threads ([`UnitRun::set_threads`]); it commits them
+//! in round-robin order, so its outcome does not depend on the thread
+//! count. Everything parallel is built from its units:
 //!
-//! * [`DabsSolver::run_sequential`] — one unit, stepped to termination;
-//!   bit-for-bit deterministic for a given seed.
-//! * [`DabsSolver::run`] — `blocks_per_device` units on scoped threads,
-//!   folded with [`UnitOutcome::merge`].
-//! * the server's elastic pool — a job's units scheduled on shared workers.
+//! * [`DabsSolver::run_sequential`] — one unit on one thread, stepped to
+//!   termination; bit-for-bit deterministic for a given seed.
+//! * [`DabsSolver::run`] — `blocks_per_device` one-thread units on scoped
+//!   threads, folded with [`UnitOutcome::merge`].
+//! * the server's elastic pool — a job's units scheduled on shared workers,
+//!   each unit on its worker's share of the host's cores.
 
 use crate::adaptive::{generate_target, select_algorithm, select_operation};
 use crate::device::InlineDevice;
@@ -22,8 +26,9 @@ use crate::{DabsConfig, FrequencyReport, GeneticOp, PoolEntry, SolutionPool};
 use dabs_model::{BatchKernel, CsrKernel, DenseKernel, KernelKind, QuboModel, Solution};
 use dabs_rng::{Rng64, SplitMix64, Xorshift64Star};
 use dabs_search::MainAlgorithm;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Salt of the per-unit seed stream (see [`DabsSolver::for_unit`]).
@@ -394,11 +399,13 @@ impl DabsSolver {
         unit.finish().result
     }
 
-    /// Begin a resumable sequential *unit*: the same deterministic
-    /// round-robin loop as [`DabsSolver::run_sequential`], but paused and
-    /// resumed in caller-controlled batch quanta ([`UnitRun::step`]) so a
-    /// scheduler can interleave many jobs' units on one thread, split a
-    /// unit's remaining budget, or revoke it between quanta.
+    /// Begin a resumable *unit*: the same deterministic round-robin loop as
+    /// [`DabsSolver::run_sequential`], but paused and resumed in
+    /// caller-controlled batch quanta ([`UnitRun::step`]) so a scheduler
+    /// can interleave many jobs' units, split a unit's remaining budget, or
+    /// revoke it between quanta. The unit runs on one thread until
+    /// [`UnitRun::set_threads`] gives it more; any count gives the same
+    /// outcome.
     ///
     /// `warm` seeds the unit with a sibling's incumbent: the solution is
     /// inserted into pool 0, every device's resident block state starts from
@@ -434,15 +441,16 @@ impl DabsSolver {
                 warm,
             )),
         };
-        UnitRun { inner }
+        UnitRun { inner, threads: 1 }
     }
 }
 
-/// A paused-and-resumable sequential solver run (see
-/// [`DabsSolver::start_unit`]). Erases the energy-kernel monomorphization so
-/// schedulers can hold units of different jobs in one collection.
+/// A paused-and-resumable unit run (see [`DabsSolver::start_unit`]).
+/// Erases the energy-kernel monomorphization so schedulers can hold units
+/// of different jobs in one collection.
 pub struct UnitRun<'m> {
     inner: UnitInner<'m>,
+    threads: usize,
 }
 
 enum UnitInner<'m> {
@@ -451,40 +459,58 @@ enum UnitInner<'m> {
 }
 
 impl<'m> UnitRun<'m> {
+    /// Let up to `threads` of this unit's batches run side by side from
+    /// the next step on (at least one). Every step still commits its
+    /// batches in round-robin order, so the outcome is bit-identical for
+    /// any thread count, and the count may change between steps; more
+    /// threads than `devices` only wait. A new unit runs on one thread.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
+    }
+
     /// Advance up to `quota` batches. Returns `true` when the unit hit one
     /// of its termination conditions (further steps are no-ops), `false`
     /// when the quota ran out first — the unit is paused and resumable.
+    ///
+    /// With `threads > 1` the call spawns up to `threads − 1` scoped
+    /// helpers and the caller is the last unit thread; all of them are
+    /// joined before it returns, and no batch is in flight between steps.
+    /// A panic on any unit thread (an observer's, say) ends the step with
+    /// that panic.
     pub fn step(&mut self, quota: u64) -> bool {
         match &mut self.inner {
-            UnitInner::Csr(e) => e.step(quota),
-            UnitInner::Dense(e) => e.step(quota),
+            UnitInner::Csr(e) => e.step(quota, self.threads),
+            UnitInner::Dense(e) => e.step(quota, self.threads),
+        }
+    }
+
+    fn host(&self) -> MutexGuard<'_, Host> {
+        match &self.inner {
+            UnitInner::Csr(e) => e.lock(),
+            UnitInner::Dense(e) => e.lock(),
         }
     }
 
     /// Batches executed so far by this unit.
     pub fn batches(&self) -> u64 {
-        match &self.inner {
-            UnitInner::Csr(e) => e.batches,
-            UnitInner::Dense(e) => e.batches,
-        }
+        self.host().batches
+    }
+
+    /// Wall time of the batches executed so far, summed over devices.
+    pub fn batch_time(&self) -> Duration {
+        self.host().batch_time
     }
 
     /// Best energy seen so far (including a warm start), `None` before the
     /// first solution.
     pub fn best_energy(&self) -> Option<i64> {
-        let e = match &self.inner {
-            UnitInner::Csr(e) => e.best_energy,
-            UnitInner::Dense(e) => e.best_energy,
-        };
+        let e = self.host().best_energy;
         (e != i64::MAX).then_some(e)
     }
 
     /// Whether a termination condition has been hit.
     pub fn terminated(&self) -> bool {
-        match &self.inner {
-            UnitInner::Csr(e) => e.done,
-            UnitInner::Dense(e) => e.done,
-        }
+        self.host().done
     }
 
     /// Consume the unit and assemble its outcome.
@@ -502,35 +528,73 @@ impl std::fmt::Debug for UnitRun<'_> {
             .field("batches", &self.batches())
             .field("best", &self.best_energy())
             .field("terminated", &self.terminated())
+            .field("threads", &self.threads)
             .finish()
     }
 }
 
-/// The sequential solver loop, held as resumable state instead of a stack
+/// The unit's batch loop, held as resumable state instead of a stack
 /// frame: pools, host RNGs, inline devices, and the running best.
+///
+/// Batch `j` runs on device `j mod D` and reads that device's pool, host
+/// RNG and resident state as batch `j − D` left them; an Xrossover target
+/// also reads the neighbour pool as batch `j − D + 1` left it. Nothing else
+/// couples the devices, so a unit thread claims `j`, generates its target
+/// under the host lock once those folds are in, runs the batch without the
+/// lock, and folds it strictly in `j` order. Every target and every fold
+/// then sees the state the one-thread round-robin would, whatever the
+/// thread count.
 struct SeqEngine<'m, K: BatchKernel> {
     cfg: DabsConfig,
     n: usize,
     termination: Termination,
     observer: Option<IncumbentObserver>,
+    start: Instant,
+    /// Device `d` runs batches `d, d + D, d + 2D, …`, one at a time.
+    devices: Vec<Mutex<InlineDevice<'m, K>>>,
+    host: Mutex<Host>,
+    /// Signalled after a fold or at termination, when a thread is parked.
+    folded: Condvar,
+}
+
+/// Everything a claim or a fold touches, behind the engine's host lock.
+struct Host {
     pools: Vec<SolutionPool>,
     host_rngs: Vec<Xorshift64Star>,
-    devices: Vec<InlineDevice<'m, K>>,
     frequencies: FrequencyReport,
     obs: crate::obs::ObsAccumulator,
     best_solution: Option<Solution>,
     best_energy: i64,
     found_at: Duration,
     finder: Option<(MainAlgorithm, GeneticOp)>,
+    /// Batches folded so far; batch `batches` folds next.
     batches: u64,
     flips: u64,
+    /// Wall time of the folded batches.
+    batch_time: Duration,
     restarts: u32,
-    start: Instant,
-    next_device: usize,
+    /// Batches claimed so far; `claimed − batches` are in flight.
+    claimed: u64,
+    /// Unit threads parked on `folded`.
+    parked: usize,
     done: bool,
 }
 
-impl<'m, K: BatchKernel> SeqEngine<'m, K> {
+/// One finished batch on its way to the fold.
+struct BatchDone {
+    device: usize,
+    algo: MainAlgorithm,
+    op: GeneticOp,
+    solution: Solution,
+    energy: i64,
+    flips: u64,
+    reductions: u64,
+    elapsed: Duration,
+    overlapped: bool,
+    waited: Duration,
+}
+
+impl<'m, K: BatchKernel + Send> SeqEngine<'m, K> {
     fn new(
         cfg: DabsConfig,
         model: &'m QuboModel,
@@ -580,151 +644,297 @@ impl<'m, K: BatchKernel> SeqEngine<'m, K> {
             n,
             termination,
             observer,
-            pools,
-            host_rngs,
-            devices,
-            frequencies: FrequencyReport::new(),
-            obs: crate::obs::ObsAccumulator::new(),
-            best_solution,
-            best_energy,
-            found_at: Duration::ZERO,
-            finder: None,
-            batches: 0,
-            flips: 0,
-            restarts: 0,
             start,
-            next_device: 0,
-            done: false,
+            devices: devices.into_iter().map(Mutex::new).collect(),
+            host: Mutex::new(Host {
+                pools,
+                host_rngs,
+                frequencies: FrequencyReport::new(),
+                obs: crate::obs::ObsAccumulator::new(),
+                best_solution,
+                best_energy,
+                found_at: Duration::ZERO,
+                finder: None,
+                batches: 0,
+                flips: 0,
+                batch_time: Duration::ZERO,
+                restarts: 0,
+                claimed: 0,
+                parked: 0,
+                done: false,
+            }),
+            folded: Condvar::new(),
         }
     }
 
-    fn step(&mut self, quota: u64) -> bool {
-        let mut ran = 0u64;
-        while !self.done {
-            if ran >= quota {
-                return false;
-            }
-            // Check the external flag before (not after) the batch so an
+    /// The host lock. A unit thread that panics marks the unit done before
+    /// it unwinds (see [`SeqEngine::work`]), so a poisoned lock is taken
+    /// back only to leave.
+    fn lock(&self) -> MutexGuard<'_, Host> {
+        self.host.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn step(&mut self, quota: u64, threads: usize) -> bool {
+        let host = self.host.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if host.done {
+            return true;
+        }
+        // Claims stop at the quota and at the batch cap (the round-robin
+        // always ran one batch, so a cap of 0 still allows one).
+        let mut end = host.claimed.saturating_add(quota);
+        if let Some(maxb) = self.termination.max_batches {
+            end = end.min(maxb.max(1));
+        }
+        let width = end.saturating_sub(host.claimed).min(threads as u64);
+        if width <= 1 {
+            self.work(end);
+        } else {
+            let this = &*self;
+            std::thread::scope(|s| {
+                let helpers: Vec<_> = (1..width).map(|_| s.spawn(|| this.work(end))).collect();
+                this.work(end);
+                for helper in helpers {
+                    if let Err(panic) = helper.join() {
+                        resume_unwind(panic);
+                    }
+                }
+            });
+        }
+        self.lock().done
+    }
+
+    /// One unit thread's share of a step: claim the next batch, generate
+    /// its target, run it, fold it — until the claims reach `end` or the
+    /// unit is done. A batch claimed after the fold that ended the unit is
+    /// discarded.
+    fn work(&self, end: u64) {
+        let _leave = LeaveOnPanic(self);
+        let devices = self.cfg.devices as u64;
+        let mut host = self.lock();
+        while !host.done && host.claimed < end {
+            // Check the external flag before (not after) the claim so an
             // already-tripped flag returns without touching a device.
             if self.termination.stop_requested() {
-                self.done = true;
+                host.done = true;
                 break;
             }
-            self.one_batch();
-            ran += 1;
-            if let Some(t) = self.termination.target_energy {
-                if self.best_energy <= t {
-                    self.done = true;
+            let j = host.claimed;
+            host.claimed += 1;
+            let d = (j % devices) as usize;
+            let mut waited = Duration::ZERO;
+            // Pool, host RNG and device `d` as batch j − D left them.
+            host = self.wait_folded(host, (j + 1).saturating_sub(devices), &mut waited);
+            if host.done {
+                break;
+            }
+            let h = &mut *host;
+            let algo = select_algorithm(&h.pools[d], &self.cfg, &mut h.host_rngs[d]);
+            let op = select_operation(&h.pools[d], &self.cfg, &mut h.host_rngs[d]);
+            if op == GeneticOp::Xrossover && devices > 1 {
+                // The neighbour pool as batch j − D + 1 left it.
+                host = self.wait_folded(host, (j + 2).saturating_sub(devices), &mut waited);
+                if host.done {
                     break;
                 }
             }
-            if let Some(maxb) = self.termination.max_batches {
-                if self.batches >= maxb {
-                    self.done = true;
-                    break;
-                }
+            let h = &mut *host;
+            let neighbor = (devices > 1).then(|| &h.pools[(d + 1) % self.cfg.devices]);
+            let target = generate_target(
+                op,
+                &h.pools[d],
+                neighbor,
+                self.n,
+                &self.cfg,
+                &mut h.host_rngs[d],
+            );
+            let overlapped = h.batches < j;
+            drop(host);
+
+            let (solution, energy, flips, reductions, elapsed) = {
+                let mut device = self.devices[d]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                // The re-reduction delta and the wall time around the batch
+                // feed the sampled observability tally; the flip loop
+                // itself is untouched.
+                let reds_before = device.seg_reductions();
+                let started = Instant::now();
+                let (solution, energy, flips) = device.batch(&target, algo);
+                let elapsed = started.elapsed();
+                (
+                    solution,
+                    energy,
+                    flips,
+                    device.seg_reductions() - reds_before,
+                    elapsed,
+                )
+            };
+
+            host = self.wait_folded(self.lock(), j, &mut waited);
+            if host.done {
+                break;
             }
-            if let Some(limit) = self.termination.time_limit {
-                if self.start.elapsed() >= limit {
-                    self.done = true;
-                    break;
-                }
+            self.fold(
+                &mut host,
+                BatchDone {
+                    device: d,
+                    algo,
+                    op,
+                    solution,
+                    energy,
+                    flips,
+                    reductions,
+                    elapsed,
+                    overlapped,
+                    waited,
+                },
+            );
+            if host.parked > 0 {
+                self.folded.notify_all();
             }
         }
-        true
+        // A thread leaving on `done` wakes the parked ones, which leave too.
+        if host.parked > 0 {
+            self.folded.notify_all();
+        }
     }
 
-    fn one_batch(&mut self) {
-        let d = self.next_device;
-        self.next_device = (d + 1) % self.cfg.devices;
-        let cfg = &self.cfg;
-        let n = self.n;
-        // adaptive choice + target generation on pool d
-        let (target, algo, op) = {
-            let pool = &self.pools[d];
-            let neighbor_idx = (d + 1) % cfg.devices;
-            let neighbor = (cfg.devices > 1).then(|| &self.pools[neighbor_idx]);
-            let rng = &mut self.host_rngs[d];
-            let algo = select_algorithm(pool, cfg, rng);
-            let op = select_operation(pool, cfg, rng);
-            (generate_target(op, pool, neighbor, n, cfg, rng), algo, op)
-        };
-        self.frequencies.record_dispatch(algo, op);
-        // The re-reduction delta and the wall time around the batch feed
-        // the sampled observability tally; the flip loop itself is
-        // untouched.
-        let reds_before = self.devices[d].seg_reductions();
-        let started = Instant::now();
-        let (solution, energy, flips) = self.devices[d].batch(&target, algo);
-        let elapsed = started.elapsed();
-        let reds_delta = self.devices[d].seg_reductions() - reds_before;
-        self.batches += 1;
-        self.flips += flips;
-        let improved = energy < self.best_energy;
-        self.obs
-            .on_batch(algo.index(), flips, reds_delta, improved, elapsed);
+    /// Park until `need` batches are folded or the unit is done, adding
+    /// the time parked to `waited`.
+    fn wait_folded<'a>(
+        &'a self,
+        mut host: MutexGuard<'a, Host>,
+        need: u64,
+        waited: &mut Duration,
+    ) -> MutexGuard<'a, Host> {
+        if host.batches >= need || host.done {
+            return host;
+        }
+        let parked_at = Instant::now();
+        host.parked += 1;
+        while host.batches < need && !host.done {
+            host = self
+                .folded
+                .wait(host)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        host.parked -= 1;
+        *waited += parked_at.elapsed();
+        host
+    }
+
+    /// Commit the next batch in round-robin order: its pool insert and
+    /// restart check, the best and the observer, the tallies, and the
+    /// termination check.
+    fn fold(&self, host: &mut Host, b: BatchDone) {
+        host.frequencies.record_dispatch(b.algo, b.op);
+        host.batches += 1;
+        host.flips += b.flips;
+        host.batch_time += b.elapsed;
+        let improved = b.energy < host.best_energy;
+        host.obs.on_overlap(b.overlapped, b.waited);
+        host.obs
+            .on_batch(b.algo.index(), b.flips, b.reductions, improved, b.elapsed);
         if self.cfg.params.batch_lanes >= 64 {
-            self.obs.on_bulk(flips);
+            host.obs.on_bulk(b.flips);
         }
         if improved {
-            self.best_energy = energy;
-            self.best_solution = Some(solution.clone());
-            self.found_at = self.start.elapsed();
-            self.finder = Some((algo, op));
+            host.best_energy = b.energy;
+            host.best_solution = Some(b.solution.clone());
+            host.found_at = self.start.elapsed();
+            host.finder = Some((b.algo, b.op));
             if let Some(obs) = &self.observer {
-                obs(&Incumbent {
-                    solution: solution.clone(),
-                    energy,
-                    found_at: self.found_at,
-                });
+                let incumbent = Incumbent {
+                    solution: b.solution.clone(),
+                    energy: b.energy,
+                    found_at: host.found_at,
+                };
+                // A panicking observer ends the unit before the lock is
+                // released, so no other unit thread folds past its batch.
+                if let Err(panic) = catch_unwind(AssertUnwindSafe(|| obs(&incumbent))) {
+                    host.done = true;
+                    resume_unwind(panic);
+                }
             }
         }
-        self.pools[d].insert(PoolEntry {
-            solution,
-            energy,
-            algorithm: algo,
-            operation: op,
+        let d = b.device;
+        host.pools[d].insert(PoolEntry {
+            solution: b.solution,
+            energy: b.energy,
+            algorithm: b.algo,
+            operation: b.op,
         });
         if let Some(threshold) = self.cfg.restart_diversity {
-            let pool = &mut self.pools[d];
+            let h = &mut *host;
+            let pool = &mut h.pools[d];
             if pool.len() == pool.capacity()
                 && pool.iter().all(|e| e.energy < i64::MAX)
                 && pool.diversity() < threshold
             {
-                let rng = &mut self.host_rngs[d];
-                pool.fill_random(n, &self.cfg.algorithms, &self.cfg.operations, rng);
-                self.restarts += 1;
+                pool.fill_random(
+                    self.n,
+                    &self.cfg.algorithms,
+                    &self.cfg.operations,
+                    &mut h.host_rngs[d],
+                );
+                h.restarts += 1;
             }
         }
+        let t = &self.termination;
+        host.done = t.target_energy.is_some_and(|t| host.best_energy <= t)
+            || t.max_batches.is_some_and(|m| host.batches >= m)
+            || t.time_limit.is_some_and(|l| self.start.elapsed() >= l);
     }
 
     fn finish(self) -> UnitOutcome {
+        let elapsed = self.start.elapsed();
+        let host = self
+            .host
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         let reached = self
             .termination
             .target_energy
-            .map(|t| self.best_energy <= t)
-            .unwrap_or(false);
-        let found = self.best_solution.is_some();
+            .is_some_and(|t| host.best_energy <= t);
+        let found = host.best_solution.is_some();
         UnitOutcome {
             result: SolveResult {
-                best: self
+                best: host
                     .best_solution
                     .unwrap_or_else(|| Solution::zeros(self.n)),
-                energy: if self.best_energy == i64::MAX {
+                energy: if host.best_energy == i64::MAX {
                     0
                 } else {
-                    self.best_energy
+                    host.best_energy
                 },
-                time_to_best: self.found_at,
-                elapsed: self.start.elapsed(),
-                batches: self.batches,
-                flips: self.flips,
+                time_to_best: host.found_at,
+                elapsed,
+                batches: host.batches,
+                flips: host.flips,
                 reached_target: reached,
-                frequencies: self.frequencies,
-                first_finder: self.finder,
-                restarts: self.restarts,
+                frequencies: host.frequencies,
+                first_finder: host.finder,
+                restarts: host.restarts,
             },
             found,
+        }
+    }
+}
+
+/// Marks its unit done and wakes every parked thread if its thread
+/// unwinds, so a panic on one unit thread (an observer's, say) ends the
+/// step instead of leaving the others waiting for a fold that never comes.
+struct LeaveOnPanic<'e, 'm, K: BatchKernel>(&'e SeqEngine<'m, K>);
+
+impl<K: BatchKernel> Drop for LeaveOnPanic<'_, '_, K> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0
+                .host
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .done = true;
+            self.0.folded.notify_all();
         }
     }
 }

@@ -133,6 +133,7 @@ pub trait QuboKernel: Copy {
     ///
     /// Like `apply_flip`, this must not touch `delta[i]` — the caller
     /// negates it and updates `i`'s aggregates afterwards.
+    #[inline]
     fn apply_flip_seg(
         &self,
         x: &Solution,

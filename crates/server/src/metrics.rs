@@ -231,6 +231,7 @@ mod tests {
             running: 2,
             finished: 3,
             workers: 4,
+            unit_threads: 1,
             queue_capacity: 64,
             busy_workers: 3,
             queued_units: 7,

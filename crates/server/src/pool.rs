@@ -37,7 +37,7 @@ use crate::spec::{now_unix_ms, JobSpec, MAX_UNITS_PER_JOB};
 use dabs_core::{Incumbent, IncumbentObserver, SolveResult, Termination, UnitOutcome, WarmStart};
 use dabs_model::{IncrementalState, QuboModel, Solution};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -111,6 +111,28 @@ const CUBE_MIN_N: usize = 128;
 /// Number of highest-|Δ| bits enumerated by cube seeding (2^k seed units).
 const CUBE_BITS: u32 = 2;
 
+/// A unit runs its devices side by side only while its batches so far
+/// average at least this long. Committing in order parks and wakes a unit
+/// thread about once per overlapped batch, 6–9 µs of wake-up each on a
+/// 2-vCPU host; below this the overlap saves less wall time than it burns
+/// in CPU.
+const MIN_OVERLAP_BATCH: Duration = Duration::from_micros(50);
+
+/// Batches a unit with a thread share runs on one thread before its first
+/// [`MIN_OVERLAP_BATCH`] judgement: enough to average over a few batches
+/// per device, few enough that long-batch units overlap almost at once.
+const PROBE_BATCHES: u64 = 8;
+
+/// Threads each running unit may use: the host's cores split evenly over
+/// `workers`, at least one. A unit runs at most one thread per device
+/// ([`UnitRun::set_threads`](dabs_core::UnitRun::set_threads) keeps its
+/// result bit-identical at any count).
+fn unit_thread_share(workers: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    (cores / workers.max(1)).max(1)
+}
+
 /// What one unit executes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum UnitWork {
@@ -158,6 +180,9 @@ impl UnitTask {
 pub struct PoolGauges {
     /// Worker threads in the pool.
     pub workers: u64,
+    /// Threads each running unit may use (the host's cores over
+    /// `workers`, at least one; a unit uses at most one per device).
+    pub unit_threads: u64,
     /// Workers currently executing a unit.
     pub busy: u64,
     /// Units waiting in the queue.
@@ -324,6 +349,7 @@ impl ElasticPool {
     pub fn gauges(&self) -> PoolGauges {
         PoolGauges {
             workers: self.shared.workers as u64,
+            unit_threads: unit_thread_share(self.shared.workers) as u64,
             busy: self.shared.busy.load(Ordering::Relaxed) as u64,
             queued_units: self.shared.queued_units() as u64,
             splits: self.shared.splits.load(Ordering::Relaxed),
@@ -796,13 +822,25 @@ fn execute_unit(pool: Option<&PoolShared>, task: &UnitTask, ordinal: u32) {
     term.max_batches = slice;
     let warm = warm.map(|(solution, energy)| WarmStart { solution, energy });
 
+    // The unit's devices search side by side on its share of the cores
+    // (`execute()` takes the share of a one-worker pool) while its batches
+    // are long enough to pay for it.
+    let share = unit_thread_share(pool.map_or(1, |p| p.workers)).min(solver.config().devices);
     let mut unit = solver.start_unit(&model, term.clone(), Some(observer), warm);
     let mut remaining = slice.unwrap_or(u64::MAX);
     let mut assigned = slice; // shrinks when this unit splits or yields
     let mut terminated = false;
     while remaining > 0 {
         let before = unit.batches();
-        terminated = unit.step(remaining.min(SPLIT_QUANTUM));
+        let long = before > 0
+            && unit.batch_time().as_nanos() >= MIN_OVERLAP_BATCH.as_nanos() * u128::from(before);
+        unit.set_threads(if long { share } else { 1 });
+        let quantum = if before == 0 && share > 1 {
+            PROBE_BATCHES
+        } else {
+            SPLIT_QUANTUM
+        };
+        terminated = unit.step(remaining.min(quantum));
         remaining = remaining.saturating_sub(unit.batches() - before);
         if terminated || remaining == 0 {
             break;
@@ -1512,6 +1550,7 @@ mod tests {
             pool.gauges(),
             PoolGauges {
                 workers: 2,
+                unit_threads: unit_thread_share(2) as u64,
                 ..PoolGauges::default()
             }
         );

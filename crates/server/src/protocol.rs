@@ -330,6 +330,8 @@ pub enum Response {
         running: u64,
         finished: u64,
         workers: u64,
+        /// Threads each running unit may use.
+        unit_threads: u64,
         queue_capacity: u64,
         /// Workers currently executing a unit.
         busy_workers: u64,
@@ -437,6 +439,7 @@ impl Response {
                 running,
                 finished,
                 workers,
+                unit_threads,
                 queue_capacity,
                 busy_workers,
                 queued_units,
@@ -448,6 +451,7 @@ impl Response {
                 ("running", (*running).into()),
                 ("finished", (*finished).into()),
                 ("workers", (*workers).into()),
+                ("unit_threads", (*unit_threads).into()),
                 ("queue_capacity", (*queue_capacity).into()),
                 ("busy_workers", (*busy_workers).into()),
                 ("queued_units", (*queued_units).into()),
@@ -558,6 +562,7 @@ impl Response {
                 running: j.get_u64("running").unwrap_or(0),
                 finished: j.get_u64("finished").unwrap_or(0),
                 workers: j.get_u64("workers").unwrap_or(0),
+                unit_threads: j.get_u64("unit_threads").unwrap_or(0),
                 queue_capacity: j.get_u64("queue_capacity").unwrap_or(0),
                 busy_workers: j.get_u64("busy_workers").unwrap_or(0),
                 queued_units: j.get_u64("queued_units").unwrap_or(0),
@@ -709,6 +714,7 @@ mod tests {
                 running: 2,
                 finished: 3,
                 workers: 4,
+                unit_threads: 1,
                 queue_capacity: 64,
                 busy_workers: 3,
                 queued_units: 9,

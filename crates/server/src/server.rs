@@ -68,7 +68,7 @@ impl Default for ServerConfig {
 /// Per-connection protocol context: what `hello` negotiated. In-process
 /// callers use `ConnCtx::default()` — a v1 connection with no tenant.
 #[derive(Debug, Clone)]
-pub struct ConnCtx {
+pub(crate) struct ConnCtx {
     /// Negotiated protocol version (1 until a `hello` arrives).
     pub version: u64,
     /// Tenant named by `hello`, the admission bucket for submits whose
@@ -87,19 +87,16 @@ impl Default for ConnCtx {
 
 /// A successful admission, as the typed in-process API reports it.
 #[derive(Debug)]
-pub struct Admitted {
+pub(crate) struct Admitted {
     pub job: JobId,
     /// True when an idempotency key collapsed this submit onto an earlier
     /// job — `job` is then the original id and nothing new was admitted.
     pub duplicate: bool,
-    /// The original job's terminal `done` line, when a duplicate resolved
-    /// to an already-finished job.
-    pub terminal: Option<Response>,
 }
 
 /// A refused admission: the stable code plus human-readable detail.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubmitError {
+pub(crate) struct SubmitError {
     pub code: ErrorCode,
     pub reason: String,
 }
@@ -136,7 +133,7 @@ impl ServerState {
     /// register, hand the record to the pool, and log the admit. On
     /// refusal the record is evicted so rejected jobs leave no trace — in
     /// the registry or the job log.
-    pub fn admit(&self, spec: JobSpec, ctx: &ConnCtx) -> Result<Admitted, SubmitError> {
+    pub(crate) fn admit(&self, spec: JobSpec, ctx: &ConnCtx) -> Result<Admitted, SubmitError> {
         if self.shutting_down.load(Ordering::Relaxed) {
             return Err(SubmitError {
                 code: ErrorCode::ShuttingDown,
@@ -188,7 +185,6 @@ impl ServerState {
                 return Ok(Admitted {
                     job: original.id,
                     duplicate: true,
-                    terminal: original.terminal_line(),
                 });
             }
             Registered::New(record) => record,
@@ -204,7 +200,6 @@ impl ServerState {
                 Ok(Admitted {
                     job: record.id,
                     duplicate: false,
-                    terminal: None,
                 })
             }
             Err(e) => {
@@ -244,6 +239,12 @@ impl ServerState {
         set.push(Metric::new(
             "pool.workers",
             gauges.workers as f64,
+            "count",
+            up,
+        ));
+        set.push(Metric::new(
+            "pool.unit_threads",
+            gauges.unit_threads as f64,
             "count",
             up,
         ));
@@ -311,6 +312,7 @@ impl ServerState {
             running,
             finished,
             workers: gauges.workers,
+            unit_threads: gauges.unit_threads,
             queue_capacity: self.pool.capacity() as u64,
             busy_workers: gauges.busy,
             queued_units: gauges.queued_units,
@@ -322,7 +324,7 @@ impl ServerState {
     /// outbound sink. `sink` may also be registered for future lines
     /// (result waits, subscriptions). `ctx` carries (and `hello` mutates)
     /// the connection's negotiated protocol state.
-    pub fn dispatch(&self, request: Request, sink: &Arc<dyn LineSink>, ctx: &mut ConnCtx) {
+    pub(crate) fn dispatch(&self, request: Request, sink: &Arc<dyn LineSink>, ctx: &mut ConnCtx) {
         let send = |r: Response| {
             let _ = sink.send_line(r.encode());
         };
@@ -673,8 +675,8 @@ mod tests {
         assert!(dup.duplicate);
         assert_eq!(dup.job, first.job);
         assert!(
-            matches!(dup.terminal, Some(Response::Done { .. })),
-            "terminal result must ride along for finished duplicates"
+            matches!(record.terminal_line(), Some(Response::Done { .. })),
+            "a finished duplicate resolves to the original's result"
         );
         srv.shutdown();
     }

@@ -217,3 +217,67 @@ fn warm_cache_runs_equal_cold_builds_on_the_paper_instances() {
     pool.close();
     pool.join();
 }
+
+/// A one-worker pool gives each unit all of the host's cores, so on a host
+/// with two or more a `devices: 2` unit runs its two devices side by side
+/// once its batches average 50 µs or more: after its first 8 batches, and
+/// here only in a debug build, where these small specs' batches take
+/// 120–400 µs (8–31 µs in release). Its batches still commit in
+/// round-robin order: the pool, `execute()` (which takes the same share)
+/// and the one-thread `run_sequential` agree field for field on small
+/// specs of the paper's families, under a batch cap and under a target
+/// that ends the run early.
+#[test]
+fn overlapped_units_equal_the_sequential_run_on_the_paper_families() {
+    let pool = ElasticPool::spawn(1, 64);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let share = pool.gauges().unit_threads;
+    assert_eq!(share, cores as u64, "a one-worker pool shares every core");
+    if share < 2 {
+        eprintln!("one core: every unit runs on one thread on this host");
+    }
+    let registry = JobRegistry::new();
+    for (kind, n) in [("k2000", 64), ("g22", 80), ("tai", 6), ("qasp", 96)] {
+        let problem = ProblemSpec {
+            kind: kind.into(),
+            n: Some(n),
+            seed: 2,
+            inline: None,
+            kernel: KernelChoice::Auto,
+        };
+        let job = |target| JobSpec {
+            problem: problem.clone(),
+            devices: 2,
+            seed: 5,
+            target,
+            max_batches: Some(60),
+            units: Some(1),
+            ..JobSpec::default()
+        };
+        let (model, _) = problem.build().unwrap();
+        let capped = job(None);
+        let solver = capped.build_solver().unwrap();
+        let sequential = solver.run_sequential(&model, capped.termination());
+        for target in [None, Some(sequential.energy)] {
+            let spec = job(target);
+            let sequential = solver.run_sequential(&model, spec.termination());
+            let offline = registry.register(spec.clone());
+            execute(&offline);
+            let pooled = registry.register(spec);
+            pool.submit(&pooled).unwrap();
+            assert!(pooled.wait_terminal(Duration::from_secs(120)));
+            for (got, what) in [(solved(&offline), "execute"), (solved(&pooled), "pool")] {
+                let what = format!("{kind} target={target:?} {what}");
+                assert_same_run(&got, &sequential, &what);
+                assert_eq!(
+                    got.frequencies, sequential.frequencies,
+                    "{what}: frequencies"
+                );
+                assert_eq!(got.first_finder, sequential.first_finder, "{what}: finder");
+                assert_eq!(got.restarts, sequential.restarts, "{what}: restarts");
+            }
+        }
+    }
+    pool.close();
+    pool.join();
+}
