@@ -368,7 +368,7 @@ mod tests {
                     metrics: m,
                 },
                 EntryReport {
-                    name: "server_throughput".into(),
+                    name: "server_load".into(),
                     family: Family::Server,
                     started_ms: 900,
                     wall_ms: 300,

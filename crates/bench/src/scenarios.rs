@@ -1595,13 +1595,13 @@ pub mod obs_overhead {
 }
 
 // ---------------------------------------------------------------------------
-// Server throughput
+// Server load
 // ---------------------------------------------------------------------------
 
 /// End-to-end jobs/s and latency percentiles against an in-process
-/// `dabs-server` over real TCP — the suite's `server_throughput` and
-/// `server_load` entries. `dabs loadgen` without `--addr` runs the same
-/// measurement (`drive_fleet` on an in-process server) at any load shape.
+/// `dabs-server` over real TCP — the suite's `server_load` entry. `dabs
+/// loadgen` without `--addr` runs the same measurement (`drive_fleet` on an
+/// in-process server) at any load shape.
 pub mod server_load {
     use super::*;
     use dabs_server::{
@@ -1619,153 +1619,6 @@ pub mod server_load {
         pub batches: u64,
         pub seed: u64,
     }
-
-    /// Load shape per suite mode.
-    pub fn shape(mode: SuiteMode, seed: u64) -> LoadSpec {
-        match mode {
-            SuiteMode::Test => LoadSpec {
-                clients: 2,
-                jobs: 8,
-                workers: 2,
-                n: 16,
-                batches: 40,
-                seed,
-            },
-            SuiteMode::Smoke => LoadSpec {
-                clients: 4,
-                jobs: 32,
-                workers: 2,
-                n: 24,
-                batches: 100,
-                seed,
-            },
-            SuiteMode::Full => LoadSpec {
-                clients: 8,
-                jobs: 96,
-                workers: 4,
-                n: 32,
-                batches: 200,
-                seed,
-            },
-        }
-    }
-
-    /// Spin up an in-process server, run one warmup job end-to-end (thread
-    /// spawning and first-touch costs stay out of the measured window), then
-    /// drive the fleet and summarize. The server is shut down on *every*
-    /// path — `Server` has no `Drop`, and a leaked worker pool would keep
-    /// solving queued jobs under whatever the suite measures next.
-    pub fn run(spec: &LoadSpec) -> Result<LatencySummary, String> {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: spec.workers,
-                queue_capacity: (spec.jobs * 2).max(64),
-                ..ServerConfig::default()
-            },
-        )
-        .map_err(|e| format!("cannot bind in-process server: {e}"))?;
-        let result = drive(&server, spec);
-        server.shutdown();
-        result
-    }
-
-    fn drive(server: &Server, spec: &LoadSpec) -> Result<LatencySummary, String> {
-        let addr = server.local_addr();
-        {
-            let mut c = Client::builder(addr)
-                .connect()
-                .map_err(|e| format!("warmup connect: {e}"))?;
-            let id = c
-                .try_submit(&JobSpec {
-                    problem: ProblemSpec::random(spec.n, 999),
-                    seed: 999,
-                    max_batches: Some(spec.batches),
-                    ..JobSpec::default()
-                })
-                .map_err(|e| format!("warmup submit: {e}"))?
-                .job;
-            c.try_wait_result(id)
-                .map_err(|e| format!("warmup result: {e}"))?;
-        }
-
-        let t0 = Instant::now();
-        let (n, batches, seed) = (spec.n, spec.batches, spec.seed);
-        let all = drive_fleet(&addr.to_string(), spec.clients, spec.jobs, move |c, j| {
-            let job_seed = seed + (c * 10_007 + j) as u64;
-            JobSpec {
-                problem: ProblemSpec::random(n, job_seed),
-                seed: job_seed,
-                max_batches: Some(batches),
-                ..JobSpec::default()
-            }
-        })?;
-        let wall = t0.elapsed();
-        LatencySummary::from_samples(all, wall).ok_or_else(|| "no jobs completed".to_string())
-    }
-
-    /// The suite entry. A failed run still emits a (failing) gated `ok`
-    /// metric so the report stays schema-valid and the gate trips. As in
-    /// the kernel entry, the wall-clock throughput gate is suspended at
-    /// `Test` scale, where it would only measure CI box contention.
-    pub fn entry(cfg: &SuiteConfig) -> MetricSet {
-        let gate_timing = cfg.mode != SuiteMode::Test;
-        let spec = shape(cfg.mode, cfg.seed);
-        let mut out = MetricSet::new();
-        match run(&spec) {
-            Ok(s) => {
-                out.push(
-                    Metric::new("ok", 1.0, "bool", Direction::HigherIsBetter)
-                        .deterministic()
-                        .gated(0.0),
-                );
-                out.push(
-                    Metric::new(
-                        "jobs_done",
-                        s.jobs as f64,
-                        "count",
-                        Direction::HigherIsBetter,
-                    )
-                    .deterministic()
-                    .gated(0.0),
-                );
-                // Absolute throughput varies across hosts — wide tolerance.
-                let mut jobs_per_s = Metric::new(
-                    "jobs_per_s",
-                    s.jobs_per_sec(),
-                    "jobs/s",
-                    Direction::HigherIsBetter,
-                );
-                if gate_timing {
-                    jobs_per_s = jobs_per_s.gated(0.6);
-                }
-                out.push(jobs_per_s);
-                out.push(Metric::new(
-                    "p50_ms",
-                    s.p50.as_secs_f64() * 1e3,
-                    "ms",
-                    Direction::LowerIsBetter,
-                ));
-                out.push(Metric::new(
-                    "p99_ms",
-                    s.p99.as_secs_f64() * 1e3,
-                    "ms",
-                    Direction::LowerIsBetter,
-                ));
-            }
-            Err(e) => {
-                eprintln!("server_throughput entry failed: {e}");
-                out.push(
-                    Metric::new("ok", 0.0, "bool", Direction::HigherIsBetter)
-                        .deterministic()
-                        .gated(0.0),
-                );
-            }
-        }
-        out
-    }
-
-    // -- elastic-pool load: isolation under a saturating decomposed job ----
 
     /// Shape of the `server_load` entry: a small-job fleet measured twice —
     /// once on an idle pool, once while one saturating decomposed job holds
@@ -1786,7 +1639,7 @@ pub mod server_load {
     }
 
     /// Detected core count, 0 when unknown.
-    pub fn host_cores() -> usize {
+    fn host_cores() -> usize {
         std::thread::available_parallelism().map_or(0, |p| p.get())
     }
 
@@ -1965,7 +1818,8 @@ pub mod server_load {
                     Direction::LowerIsBetter,
                 ));
                 // Absolute throughput varies across hosts — wide tolerance,
-                // suspended entirely at Test scale (as in server_throughput).
+                // suspended entirely at Test scale, where it would only
+                // measure CI box contention.
                 let mut tput = Metric::new(
                     "jobs_per_s",
                     jobs_per_s,
@@ -2229,7 +2083,7 @@ pub mod conn_scale {
                     Direction::LowerIsBetter,
                 ));
                 // Host-timing metric — wide drift tolerance, suspended at
-                // Test scale (as in server_throughput).
+                // Test scale (as in server_load).
                 let mut p99_m = Metric::new("ping_p99_ms", p99, "ms", Direction::LowerIsBetter);
                 if enforce {
                     p99_m = p99_m.gated(1.5);
@@ -2280,310 +2134,6 @@ pub mod conn_scale {
             }
             Err(e) => {
                 eprintln!("conn_scale entry failed: {e}");
-                out.push(
-                    Metric::new("ok", 0.0, "bool", Direction::HigherIsBetter)
-                        .deterministic()
-                        .gated(0.0),
-                );
-            }
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chaos soak (fault injection + self-healing runtime)
-// ---------------------------------------------------------------------------
-
-/// Chaos soak: a capped, seeded fault storm over a live server under a
-/// retrying client, then heal. Unit panics drive one job into quarantine,
-/// worker kills exercise the supervisor's respawn path, and WAL fsync
-/// errors flip (then clear) degraded mode. Because every fault site
-/// carries a cap, the storm ends deterministically and the entry's gates
-/// are *invariants*, not speeds: no job lost or duplicated, the worker
-/// count restored, and the runtime's gauges exactly equal to the injected
-/// fault counts. Timing enters only through bounded polls (machine-
-/// relative — no fixed sleeps), and like `server_load` the gates are
-/// suspended at `Test` scale and on hosts with fewer than 4 cores, with
-/// `gates_enforced` recording which regime produced the report.
-pub mod chaos_soak {
-    use super::server_load::host_cores;
-    use super::*;
-    use dabs_server::{
-        net_obs, pool_obs, Client, FaultPlan, FaultSite, JobSpec, ProblemSpec, Server, ServerConfig,
-    };
-    use std::time::Instant;
-
-    /// One soak shape.
-    #[derive(Debug, Clone)]
-    pub struct SoakSpec {
-        /// Jobs besides the quarantine target.
-        pub jobs: usize,
-        pub workers: usize,
-        pub n: usize,
-        pub batches: u64,
-        pub seed: u64,
-    }
-
-    /// Soak shape per suite mode.
-    pub fn shape(mode: SuiteMode, seed: u64) -> SoakSpec {
-        match mode {
-            SuiteMode::Test => SoakSpec {
-                jobs: 4,
-                workers: 2,
-                n: 16,
-                batches: 100,
-                seed,
-            },
-            SuiteMode::Smoke => SoakSpec {
-                jobs: 8,
-                workers: 2,
-                n: 24,
-                batches: 150,
-                seed,
-            },
-            SuiteMode::Full => SoakSpec {
-                jobs: 24,
-                workers: 4,
-                n: 32,
-                batches: 200,
-                seed,
-            },
-        }
-    }
-
-    /// What the storm left behind.
-    #[derive(Debug, Clone)]
-    pub struct SoakOutcome {
-        /// Total jobs submitted (including the quarantine target).
-        pub jobs: usize,
-        /// How many reached a terminal phase.
-        pub terminal: usize,
-        /// Duplicate job ids handed out (must be 0).
-        pub duplicates: usize,
-        pub injected_panics: u64,
-        pub injected_kills: u64,
-        pub injected_fsync: u64,
-        pub panics_delta: u64,
-        pub quarantined_delta: u64,
-        pub wal_errors_delta: u64,
-        /// The pool's own restart gauge (per-pool, exact).
-        pub worker_restarts: u64,
-        pub workers_restored: bool,
-        /// `health` returned to `ok` after the storm.
-        pub healed: bool,
-        pub elapsed: Duration,
-    }
-
-    /// Run one storm: quarantine target first (all injected panics land on
-    /// it — the only live job), then the clean fleet, then heal checks.
-    pub fn run_soak(spec: &SoakSpec) -> Result<SoakOutcome, String> {
-        let plan = Arc::new(
-            FaultPlan::parse(&format!(
-                "seed={},unit_panic=1x3,worker_kill=1x2,wal_fsync=1x3",
-                spec.seed.max(1)
-            ))
-            .map_err(|e| format!("fault plan: {e}"))?,
-        );
-        let dir = std::env::temp_dir().join(format!(
-            "dabs-bench-chaos-{}-{}",
-            std::process::id(),
-            spec.seed
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let panics0 = pool_obs().unit_panics.get();
-        let quarantined0 = pool_obs().quarantined_jobs.get();
-        let wal_errors0 = net_obs().wal_errors.get();
-        let start = Instant::now();
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: spec.workers,
-                queue_capacity: (spec.jobs * 2).max(16),
-                wal_dir: Some(dir.clone()),
-                chaos: Some(Arc::clone(&plan)),
-                ..ServerConfig::default()
-            },
-        )
-        .map_err(|e| format!("bind: {e}"))?;
-        let result = drive_storm(&server, spec, &plan);
-        let elapsed = start.elapsed();
-        let worker_restarts = server.state().pool.gauges().worker_restarts;
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-        let (terminal, duplicates, workers_restored, healed, jobs) = result?;
-        Ok(SoakOutcome {
-            jobs,
-            terminal,
-            duplicates,
-            injected_panics: plan.injected(FaultSite::UnitPanic),
-            injected_kills: plan.injected(FaultSite::WorkerKill),
-            injected_fsync: plan.injected(FaultSite::WalFsync),
-            panics_delta: pool_obs().unit_panics.get() - panics0,
-            quarantined_delta: pool_obs().quarantined_jobs.get() - quarantined0,
-            wal_errors_delta: net_obs().wal_errors.get() - wal_errors0,
-            worker_restarts,
-            workers_restored,
-            healed,
-            elapsed,
-        })
-    }
-
-    /// The storm body, split out so the server is shut down on every path.
-    /// Returns `(terminal, duplicates, workers_restored, healed, jobs)`.
-    fn drive_storm(
-        server: &Server,
-        spec: &SoakSpec,
-        _plan: &FaultPlan,
-    ) -> Result<(usize, usize, bool, bool, usize), String> {
-        let addr = server.local_addr().to_string();
-        let mut client = Client::builder(&addr)
-            .read_timeout(Duration::from_secs(10))
-            .idempotency_prefix("soak")
-            .retry(10, Duration::from_millis(2), Duration::from_millis(50))
-            .retry_seed(spec.seed)
-            .connect()
-            .map_err(|e| format!("connect: {e}"))?;
-        let mut ids = Vec::new();
-        // The quarantine target: alone on the pool, so every injected panic
-        // is its own. Worker kills interleave here too — its units are
-        // re-pushed and survive the respawns.
-        let target = client
-            .try_submit(&JobSpec {
-                problem: ProblemSpec::random(spec.n, 9),
-                max_batches: Some(400),
-                units: Some(4),
-                idempotency_key: Some("soak-target".into()),
-                ..JobSpec::default()
-            })
-            .map_err(|e| format!("target submit: {e}"))?
-            .job;
-        ids.push(target);
-        let outcome = client
-            .try_wait_result(target)
-            .map_err(|e| format!("target wait: {e}"))?;
-        if outcome.phase != "failed" {
-            return Err(format!("quarantine target ended {:?}", outcome.phase));
-        }
-        // The clean fleet rides out WAL degradation via retry.
-        for j in 0..spec.jobs {
-            let ack = client
-                .try_submit(&JobSpec {
-                    problem: ProblemSpec::random(spec.n, spec.seed ^ j as u64),
-                    max_batches: Some(spec.batches),
-                    units: Some(2),
-                    idempotency_key: Some(format!("soak-{j}")),
-                    ..JobSpec::default()
-                })
-                .map_err(|e| format!("job {j} submit: {e}"))?;
-            ids.push(ack.job);
-        }
-        let mut terminal = 0usize;
-        for &id in &ids[1..] {
-            let outcome = client
-                .try_wait_result(id)
-                .map_err(|e| format!("job {id} wait: {e}"))?;
-            terminal += usize::from(outcome.phase == "done");
-        }
-        terminal += usize::from(
-            server
-                .state()
-                .registry
-                .get(target)
-                .is_some_and(|r| r.phase().is_terminal()),
-        );
-        let mut unique = ids.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        let duplicates = ids.len() - unique.len();
-        // Bounded polls, no fixed sleeps: machine-relative by construction.
-        let workers_restored = poll(Duration::from_secs(5), || {
-            server.state().pool.live_workers() == spec.workers
-        });
-        let healed = poll(
-            Duration::from_secs(5),
-            || matches!(client.health(), Ok((status, _)) if status == "ok"),
-        );
-        Ok((terminal, duplicates, workers_restored, healed, ids.len()))
-    }
-
-    fn poll(deadline: Duration, mut ok: impl FnMut() -> bool) -> bool {
-        let end = Instant::now() + deadline;
-        while Instant::now() < end {
-            if ok() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        false
-    }
-
-    /// The `chaos_soak` suite entry. Gated invariants (suspended at `Test`
-    /// scale / under 4 cores, recorded via `gates_enforced`):
-    /// `no_lost_jobs` — every job terminal, no duplicate ids; and
-    /// `workers_restored` — pool worker count back to configured after the
-    /// kills. `gauges_exact` cross-checks runtime counters against the
-    /// plan's injected totals.
-    pub fn entry(cfg: &SuiteConfig) -> MetricSet {
-        let spec = shape(cfg.mode, cfg.seed);
-        let enforce = cfg.mode != SuiteMode::Test && host_cores() >= 4;
-        let mut out = MetricSet::new();
-        match run_soak(&spec) {
-            Ok(o) => {
-                out.push(
-                    Metric::new("ok", 1.0, "bool", Direction::HigherIsBetter)
-                        .deterministic()
-                        .gated(0.0),
-                );
-                out.push(Metric::new(
-                    "jobs",
-                    o.jobs as f64,
-                    "count",
-                    Direction::HigherIsBetter,
-                ));
-                out.push(Metric::new(
-                    "storm_ms",
-                    o.elapsed.as_secs_f64() * 1e3,
-                    "ms",
-                    Direction::LowerIsBetter,
-                ));
-                out.push(Metric::new(
-                    "worker_restarts",
-                    o.worker_restarts as f64,
-                    "count",
-                    Direction::LowerIsBetter,
-                ));
-                let no_lost = o.terminal == o.jobs && o.duplicates == 0;
-                let gauges_exact = o.panics_delta == o.injected_panics
-                    && o.quarantined_delta == 1
-                    && o.wal_errors_delta == o.injected_fsync
-                    && o.worker_restarts == o.injected_kills;
-                for (name, held) in [
-                    ("no_lost_jobs", no_lost),
-                    ("workers_restored", o.workers_restored),
-                    ("healed", o.healed),
-                    ("gauges_exact", gauges_exact),
-                ] {
-                    let pass = !enforce || held;
-                    if !pass {
-                        eprintln!("chaos_soak invariant violated: {name} ({o:?})");
-                    }
-                    let mut m =
-                        Metric::new(name, f64::from(pass), "bool", Direction::HigherIsBetter);
-                    if cfg.mode != SuiteMode::Test {
-                        m = m.gated(0.0);
-                    }
-                    out.push(m);
-                }
-                out.push(Metric::new(
-                    "gates_enforced",
-                    f64::from(enforce),
-                    "bool",
-                    Direction::HigherIsBetter,
-                ));
-            }
-            Err(e) => {
-                eprintln!("chaos_soak entry failed: {e}");
                 out.push(
                     Metric::new("ok", 0.0, "bool", Direction::HigherIsBetter)
                         .deterministic()

@@ -2,7 +2,8 @@
 //!
 //! One [`SuiteEntry`] per scenario the repo cares about: time-to-target for
 //! each problem family of the paper's §V evaluation, kernel flip throughput
-//! across the density sweep, the four §VI ablations, and server throughput.
+//! across the density sweep, the four §VI ablations, and the server's load
+//! isolation and connection scaling.
 //! The table/figure bins under `src/bin/` and the machine-readable perf
 //! trajectory (`BENCH_*.json`, see [`crate::report`]) run the same scenario
 //! code from [`crate::scenarios`], so reproducing a paper table and gating a
@@ -185,13 +186,6 @@ pub fn registry() -> Vec<SuiteEntry> {
             run: scenarios::obs_overhead::entry,
         },
         SuiteEntry {
-            name: "server_throughput",
-            family: Family::Server,
-            about: "jobs/s and p50/p99 latency against an in-process dabs-server over TCP",
-            context: CTX_SOLVER,
-            run: scenarios::server_load::entry,
-        },
-        SuiteEntry {
             name: "server_load",
             family: Family::Server,
             about: "small-job p99 isolation under a saturating decomposed job + elastic-pool \
@@ -207,16 +201,6 @@ pub fn registry() -> Vec<SuiteEntry> {
                     Full; gates suspended at Test scale)",
             context: CTX_SOLVER,
             run: scenarios::conn_scale::entry,
-        },
-        SuiteEntry {
-            name: "chaos_soak",
-            family: Family::Server,
-            about: "self-healing under a seeded fault storm: unit panics → quarantine, worker \
-                    kills → supervisor respawn, WAL fsync faults → degraded-then-heal; gates \
-                    no-lost-jobs, workers-restored, healed, and exact gauge accounting \
-                    (suspended at Test scale / <4 cores)",
-            context: CTX_SOLVER,
-            run: scenarios::chaos_soak::entry,
         },
         SuiteEntry {
             name: "ablation_adaptive",

@@ -1,6 +1,6 @@
-//! Command-line driver for the suite runner — shared by the `suite` bin
-//! (`cargo run -p dabs-bench --bin suite`) and the `dabs bench` subcommand,
-//! so the two front doors cannot drift.
+//! Command-line driver of the suite runner, the `suite` bin
+//! (`cargo run -p dabs-bench --bin suite`): the one way to run the suite
+//! and compare a run against a baseline.
 //!
 //! ```text
 //! suite [--smoke | --full | --mode test|smoke|full] [--seed S]
@@ -8,10 +8,12 @@
 //! suite compare --baseline FILE [--candidate FILE] [--tolerance-scale X]
 //! ```
 //!
-//! Exit codes: 0 success (and `--help`), 1 gate failure (regressions /
-//! missing gated metrics / schema-invalid run), 2 usage or I/O error. Any
-//! option a command does not read is a usage error, refused before an
-//! entry runs.
+//! Exit codes: 0 success (and `--help`), 1 gate failure, 2 usage or I/O
+//! error. A run exits 1 only when its report fails schema validation: a
+//! violated contract is a `contract_ok` of 0 in the report, which `compare`
+//! gates against the baseline. `compare` exits 1 on a regression or a
+//! missing gated metric. Any option a command does not read is a usage
+//! error, refused before an entry runs.
 
 use crate::baseline::compare;
 use crate::report::SuiteReport;
@@ -123,7 +125,7 @@ fn run_command(args: &Args) -> i32 {
         return 0;
     }
     println!(
-        "dabs bench suite — mode {}, seed {}{}",
+        "dabs-bench suite — mode {}, seed {}{}",
         cfg.mode.name(),
         cfg.seed,
         cfg.filter

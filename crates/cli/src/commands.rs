@@ -305,28 +305,6 @@ pub fn trace_from_args(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `dabs bench`: the unified benchmark suite (smoke/full/list/compare).
-///
-/// Thin veneer over [`dabs_bench::suite_cli`] — the same driver behind
-/// `cargo run -p dabs-bench --bin suite` — translating the subcommand word
-/// into the suite's flag form. Returns the process exit code (0 ok, 1 gate
-/// failure, 2 usage error).
-pub fn bench_from_args(args: &[String]) -> i32 {
-    let flag = match args.first().map(String::as_str) {
-        Some("smoke") => "--smoke",
-        Some("full") => "--full",
-        Some("list") => "--list",
-        Some("compare" | "--help") => return dabs_bench::suite_cli::run_from_args(args),
-        _ => {
-            eprintln!("error: dabs bench expects smoke | full | list | compare");
-            return 2;
-        }
-    };
-    let mut translated = vec![flag.to_string()];
-    translated.extend_from_slice(&args[1..]);
-    dabs_bench::suite_cli::run_from_args(&translated)
-}
-
 /// `dabs compare`: run every solver in the repo on the same instance.
 pub fn compare(opts: &Options) -> Result<(), String> {
     let (model, name) = opts.build_model()?;

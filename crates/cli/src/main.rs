@@ -12,7 +12,6 @@
 //!              [--watch-pool MS]
 //! dabs timeline <job> [--addr A]
 //! dabs trace   <job> [--addr A] [--out FILE]
-//! dabs bench   smoke|full|list|compare …
 //! ```
 
 mod commands;
@@ -39,8 +38,6 @@ fn main() {
         "loadgen" => commands::loadgen_from_args(&args),
         "timeline" => commands::timeline_from_args(&args),
         "trace" => commands::trace_from_args(&args),
-        // `bench` owns its own exit codes (1 = gate failure, 2 = usage).
-        "bench" => std::process::exit(commands::bench_from_args(&args)),
         "solve" | "compare" | "info" => {
             let opts = match Options::parse(&args) {
                 Ok(o) => o,
@@ -81,9 +78,6 @@ USAGE:
                [--workers W] [--seed S] [--watch-pool MS]
   dabs timeline <job> [--addr A]
   dabs trace   <job> [--addr A] [--out FILE]
-  dabs bench   smoke|full [--seed S] [--filter F] [--out FILE] | list
-  dabs bench   compare --baseline FILE [--candidate FILE]
-               [--tolerance-scale X]
 
 PROBLEM KINDS:
   k2000 | g22 | g39   MaxCut instance classes (default n = 200)
@@ -115,13 +109,6 @@ OBSERVABILITY:
   dabs timeline prints a job's recorded lifecycle (admission, per-unit
   start/end with queue waits, incumbents, terminal phase). dabs trace
   exports the same timeline as a Chrome trace_event JSON file for
-  chrome://tracing or Perfetto (see docs/OBSERVABILITY.md).
-
-BENCH:
-  dabs bench runs the unified benchmark suite (time-to-target per problem
-  family, kernel density sweep, ablations, server throughput) and writes a
-  machine-readable BENCH_*.json report; compare diffs a run against a
-  committed baseline and exits non-zero on gated regressions (see
-  docs/BENCHMARKS.md)."
+  chrome://tracing or Perfetto (see docs/OBSERVABILITY.md)."
     );
 }

@@ -167,7 +167,10 @@ fn unknown_flag_is_a_usage_error() {
 
 #[test]
 fn unknown_command_fails_with_exit_1() {
-    let out = dabs(&["frobnicate", "--problem", "random"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(stderr(&out).contains("unknown command"));
+    // `bench` is not a command: the suite's one runner is the `suite` bin.
+    for command in ["frobnicate", "bench"] {
+        let out = dabs(&[command, "--problem", "random"]);
+        assert_eq!(out.status.code(), Some(1), "{command}");
+        assert!(stderr(&out).contains("unknown command"), "{command}");
+    }
 }

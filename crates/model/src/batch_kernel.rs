@@ -195,7 +195,8 @@ mod simd {
 /// Walk one weight row: for every neighbour `j` with weight `w`, update the
 /// accepted lanes of `delta[j·lanes..]` on the pre-flip bit-sliced `x`.
 /// Dispatches to the AVX-512 loop when the CPU has it; the portable
-/// accept-list path below is the fallback and the behavioural reference.
+/// accept-list path ([`apply_row_portable`]) is the fallback and the
+/// behavioural reference.
 #[inline(always)]
 fn apply_row(
     x: &[u64],
@@ -214,6 +215,19 @@ fn apply_row(
         };
         return;
     }
+    apply_row_portable(x, wpv, xi, accept, delta, row);
+}
+
+/// The accept-list row walk every CPU without AVX-512 runs.
+#[inline(always)]
+fn apply_row_portable(
+    x: &[u64],
+    wpv: usize,
+    xi: &[u64],
+    accept: &[u64],
+    delta: &mut [i64],
+    row: impl Iterator<Item = (usize, i64)>,
+) {
     let lanes = wpv << 6;
     let lists = AcceptLists::build(accept);
     for (j, w) in row {
@@ -250,6 +264,20 @@ impl BatchKernel for DenseKernel<'_> {
         // nothing — same invariant the scalar dense kernel leans on.
         let row = (0..n).map(move |j| (j, row[j])).filter(|&(_, w)| w != 0);
         apply_row(x, wpv, xi, accept, delta, row);
+    }
+}
+
+/// The mask loop of [`BatchState::accept_mask_le`] every CPU without
+/// AVX-512 runs: bit `b` of word `wi` is `d[64·wi + b] ≤ thresholds[64·wi + b]`.
+#[inline(always)]
+fn accept_mask_le_portable(d: &[i64], thresholds: &[i64], out: &mut [u64]) {
+    for (wi, o) in out.iter_mut().enumerate() {
+        let base = wi << 6;
+        let mut m = 0u64;
+        for b in 0..64 {
+            m |= u64::from(d[base + b] <= thresholds[base + b]) << b;
+        }
+        *o = m;
     }
 }
 
@@ -367,14 +395,7 @@ impl<K: BatchKernel> BatchState<K> {
             };
             return;
         }
-        for (wi, o) in out.iter_mut().enumerate() {
-            let base = wi << 6;
-            let mut m = 0u64;
-            for b in 0..64 {
-                m |= u64::from(d[base + b] <= thresholds[base + b]) << b;
-            }
-            *o = m;
-        }
+        accept_mask_le_portable(d, thresholds, out);
     }
 
     /// Predicated lockstep flip of variable `i` on the lanes in `accept`:
@@ -621,6 +642,162 @@ mod tests {
                 bs.lane_energy(l),
                 "{tag} lane {l} ground truth"
             );
+        }
+    }
+
+    /// A bulk row walk with its mask loop: one path through the kernel.
+    #[derive(Debug, Clone, Copy)]
+    enum RowWalk {
+        Portable,
+        #[cfg(target_arch = "x86_64")]
+        Avx512,
+    }
+
+    #[allow(unsafe_code)]
+    impl RowWalk {
+        /// Every path this CPU runs. Prints which ran and notes a path the
+        /// CPU lacks (run with `--nocapture` to see it).
+        fn available(test: &str) -> Vec<RowWalk> {
+            #[allow(unused_mut)]
+            let mut paths = vec![RowWalk::Portable];
+            #[cfg(target_arch = "x86_64")]
+            if simd::available() {
+                paths.push(RowWalk::Avx512);
+            }
+            println!("{test}: row walks run: {paths:?}");
+            if paths.len() == 1 {
+                println!("{test}: CPU lacks avx512; its loops are skipped");
+            }
+            paths
+        }
+
+        fn apply_row(
+            self,
+            x: &[u64],
+            i: usize,
+            accept: &[u64],
+            delta: &mut [i64],
+            row: &[(usize, i64)],
+        ) {
+            let wpv = accept.len();
+            let xi = &x[i * wpv..(i + 1) * wpv];
+            let row = row.iter().copied();
+            match self {
+                RowWalk::Portable => apply_row_portable(x, wpv, xi, accept, delta, row),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `available` lists this path only when
+                // `simd::available()` confirmed AVX-512F/DQ.
+                RowWalk::Avx512 => unsafe { simd::apply_row(x, wpv, xi, accept, delta, row) },
+            }
+        }
+
+        fn accept_mask_le(self, d: &[i64], thresholds: &[i64], out: &mut [u64]) {
+            match self {
+                RowWalk::Portable => accept_mask_le_portable(d, thresholds, out),
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: as in `apply_row`; `d` and `thresholds` hold 64
+                // entries per out word.
+                RowWalk::Avx512 => unsafe { simd::accept_mask_le(d, thresholds, out) },
+            }
+        }
+    }
+
+    /// Accept masks of `wpv` words: empty, full, the last lane alone,
+    /// alternating empty and full words, and random, sparse and chunky ones
+    /// (chunky masks have empty 8-lane chunks, which the AVX-512 walk skips).
+    fn accept_masks(wpv: usize, rng: &mut Xorshift64Star) -> Vec<Vec<u64>> {
+        let mut last = vec![0u64; wpv];
+        last[wpv - 1] = 1 << 63;
+        let alternating = (0..wpv).map(|w| if w % 2 == 0 { 0 } else { !0 }).collect();
+        let mut masks = vec![vec![0u64; wpv], vec![!0u64; wpv], last, alternating];
+        for _ in 0..4 {
+            let mut random = Vec::new();
+            let mut sparse = Vec::new();
+            let mut chunky = Vec::new();
+            for _ in 0..wpv {
+                random.push(rng.next_u64());
+                sparse.push(rng.next_u64() & rng.next_u64() & rng.next_u64());
+                let mut m = rng.next_u64();
+                for c in 0..8 {
+                    if rng.next_bool(0.5) {
+                        m &= !(0xffu64 << (8 * c));
+                    }
+                }
+                chunky.push(m);
+            }
+            masks.extend([random, sparse, chunky]);
+        }
+        masks
+    }
+
+    /// Both bulk row walks and both mask loops, on every path this CPU runs,
+    /// against a naive per-lane update at the grid's word-boundary sizes and
+    /// every lane width. `cross_lane_parity_grid` reaches only the path
+    /// `simd::available()` picks, so without this an AVX-512 host never
+    /// runs the portable loops and any other host never runs the AVX-512
+    /// ones.
+    #[test]
+    fn tier_parity_bulk_row_walks() {
+        let paths = RowWalk::available("tier_parity_bulk_row_walks");
+        let mut rng = Xorshift64Star::new(0xB01C);
+        for n in [63usize, 64, 65, 129] {
+            for lanes in [64usize, 128, 192, 256] {
+                let wpv = lanes / 64;
+                let x: Vec<u64> = (0..n * wpv).map(|_| rng.next_u64()).collect();
+                let delta: Vec<i64> = (0..n * lanes)
+                    .map(|_| rng.next_range_i64(-1000, 1000))
+                    .collect();
+                for density in [0.05, 0.5, 0.95] {
+                    let i = rng.next_index(n);
+                    let mut row = Vec::new();
+                    for j in (0..n).filter(|&j| j != i) {
+                        if rng.next_bool(density) {
+                            row.push((j, rng.next_range_i64(-9, 9)));
+                        }
+                    }
+                    for accept in accept_masks(wpv, &mut rng) {
+                        let mut want = delta.clone();
+                        for &(j, w) in &row {
+                            for l in 0..lanes {
+                                let (word, bit) = (l >> 6, l & 63);
+                                if (accept[word] >> bit) & 1 == 1 {
+                                    let differ =
+                                        ((x[i * wpv + word] ^ x[j * wpv + word]) >> bit) & 1;
+                                    want[j * lanes + l] += if differ == 1 { -w } else { w };
+                                }
+                            }
+                        }
+                        for &path in &paths {
+                            let mut got = delta.clone();
+                            path.apply_row(&x, i, &accept, &mut got, &row);
+                            assert_eq!(
+                                got, want,
+                                "{path:?} n={n} lanes={lanes} density={density} accept={accept:x?}"
+                            );
+                        }
+                    }
+                }
+                // Gains and thresholds from a narrow range tie often, and
+                // the extremes pin the signed compare.
+                let pick = |rng: &mut Xorshift64Star| match rng.next_index(8) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    _ => rng.next_range_i64(-3, 3),
+                };
+                for _ in 0..8 {
+                    let d: Vec<i64> = (0..lanes).map(|_| pick(&mut rng)).collect();
+                    let t: Vec<i64> = (0..lanes).map(|_| pick(&mut rng)).collect();
+                    let mut want = vec![0u64; wpv];
+                    for l in 0..lanes {
+                        want[l >> 6] |= u64::from(d[l] <= t[l]) << (l & 63);
+                    }
+                    for &path in &paths {
+                        let mut got = vec![!0u64; wpv];
+                        path.accept_mask_le(&d, &t, &mut got);
+                        assert_eq!(got, want, "{path:?} lanes={lanes}");
+                    }
+                }
+            }
         }
     }
 

@@ -506,6 +506,17 @@ fn handle_line(conn: &mut Conn, state: &Arc<ServerState>, start: usize, end: usi
             let sink: Arc<dyn LineSink> = Arc::clone(&conn.out) as Arc<dyn LineSink>;
             state.dispatch(request, &sink, &mut conn.ctx);
         }
+        // A submit whose spec does not parse is refused like one that
+        // fails validation: `rejected` with `bad_spec`.
+        Err(e) if e.code == ErrorCode::BadSpec => {
+            let _ = conn.out.send_line(
+                Response::Rejected {
+                    code: e.code,
+                    reason: e.reason,
+                }
+                .encode(),
+            );
+        }
         Err(e) => {
             let _ = conn.out.send_line(
                 Response::Error {

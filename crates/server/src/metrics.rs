@@ -1,6 +1,5 @@
 //! Load-driving, latency bookkeeping, and pool-gauge summaries shared by
-//! `dabs loadgen` and the suite's `server_throughput`/`server_load`
-//! entries.
+//! `dabs loadgen` and the suite's `server_load` entry.
 
 use crate::client::Client;
 use crate::protocol::Response;

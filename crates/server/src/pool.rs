@@ -829,7 +829,6 @@ fn execute_unit(pool: Option<&PoolShared>, task: &UnitTask, ordinal: u32) {
     let mut unit = solver.start_unit(&model, term.clone(), Some(observer), warm);
     let mut remaining = slice.unwrap_or(u64::MAX);
     let mut assigned = slice; // shrinks when this unit splits or yields
-    let mut terminated = false;
     while remaining > 0 {
         let before = unit.batches();
         let long = before > 0
@@ -840,7 +839,7 @@ fn execute_unit(pool: Option<&PoolShared>, task: &UnitTask, ordinal: u32) {
         } else {
             SPLIT_QUANTUM
         };
-        terminated = unit.step(remaining.min(quantum));
+        let terminated = unit.step(remaining.min(quantum));
         remaining = remaining.saturating_sub(unit.batches() - before);
         if terminated || remaining == 0 {
             break;
@@ -899,7 +898,6 @@ fn execute_unit(pool: Option<&PoolShared>, task: &UnitTask, ordinal: u32) {
             }
         }
     }
-    let _ = terminated;
     let out = unit.finish();
     // Judge this unit against the budget it actually kept (after splits and
     // yields) — exactly PR 2's completion rule, per unit.

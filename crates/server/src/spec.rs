@@ -266,17 +266,15 @@ impl ProblemSpec {
         ])
     }
 
+    /// Parse a problem, field by field as [`JobSpec::from_json`] does.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         Ok(Self {
-            kind: j
-                .get_str("kind")
-                .ok_or("problem needs a \"kind\"")?
-                .to_string(),
-            n: j.get_u64("n").map(|n| n as usize),
-            seed: j.get_u64("seed").unwrap_or(1),
-            inline: j.get_str("inline").map(String::from),
-            kernel: match j.get_str("kernel") {
-                Some(k) => KernelChoice::from_name(k)?,
+            kind: str_field(j, "kind")?.ok_or("problem needs a \"kind\"")?,
+            n: int_field(j, "n")?,
+            seed: int_field(j, "seed")?.unwrap_or(1),
+            inline: str_field(j, "inline")?,
+            kernel: match str_field(j, "kernel")? {
+                Some(k) => KernelChoice::from_name(&k)?,
                 None => KernelChoice::Auto,
             },
         })
@@ -605,28 +603,58 @@ impl JobSpec {
         ])
     }
 
-    /// Parse a spec; fields it does not know (among them the retired
-    /// `mode` and `blocks`, which older logs and clients still write) are
-    /// ignored.
+    /// Parse a spec. A field that is absent or `null` takes its default; a
+    /// field of the wrong JSON type, or an integer that does not fit the
+    /// field, is an error rather than a default or a truncation, so a
+    /// malformed spec is refused instead of running as some other job.
+    /// Fields it does not know (among them the retired `mode` and `blocks`,
+    /// which older logs and clients still write) are ignored.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         let problem = ProblemSpec::from_json(j.get("problem").ok_or("job needs a \"problem\"")?)?;
         let d = JobSpec::default();
         Ok(Self {
             problem,
-            devices: j.get_u64("devices").map_or(d.devices, |v| v as usize),
-            seed: j.get_u64("seed").unwrap_or(d.seed),
-            abs: j.get_bool("abs").unwrap_or(false),
-            target: j.get_i64("target"),
-            time_ms: j.get_u64("time_ms"),
-            max_batches: j.get_u64("max_batches"),
-            priority: j.get_i64("priority").unwrap_or(0) as i32,
-            deadline_unix_ms: j.get_u64("deadline_unix_ms"),
-            units: j.get_u64("units").map(|v| v as u32),
-            lanes: j.get_u64("lanes").map(|v| v as u32),
-            tenant: j.get_str("tenant").map(String::from),
-            idempotency_key: j.get_str("idempotency_key").map(String::from),
+            devices: int_field(j, "devices")?.unwrap_or(d.devices),
+            seed: int_field(j, "seed")?.unwrap_or(d.seed),
+            abs: field(j, "abs", "bool", Json::as_bool)?.unwrap_or(false),
+            target: int_field(j, "target")?,
+            time_ms: int_field(j, "time_ms")?,
+            max_batches: int_field(j, "max_batches")?,
+            priority: int_field(j, "priority")?.unwrap_or(0),
+            deadline_unix_ms: int_field(j, "deadline_unix_ms")?,
+            units: int_field(j, "units")?,
+            lanes: int_field(j, "lanes")?,
+            tenant: str_field(j, "tenant")?,
+            idempotency_key: str_field(j, "idempotency_key")?,
         })
     }
+}
+
+/// Read spec field `key` with `read`: `None` when the field is absent or
+/// `null`, an error naming `expected` when `read` refuses its value.
+fn field<T>(
+    j: &Json,
+    key: &str,
+    expected: &str,
+    read: impl FnOnce(&Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match j.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => read(v)
+            .map(Some)
+            .ok_or_else(|| format!("field {key:?} is not a valid {expected}")),
+    }
+}
+
+/// An integer field whose value must fit `T`.
+fn int_field<T: TryFrom<i64>>(j: &Json, key: &str) -> Result<Option<T>, String> {
+    field(j, key, std::any::type_name::<T>(), |v| {
+        v.as_i64().and_then(|i| T::try_from(i).ok())
+    })
+}
+
+fn str_field(j: &Json, key: &str) -> Result<Option<String>, String> {
+    field(j, key, "string", |v| v.as_str().map(String::from))
 }
 
 /// Milliseconds since the unix epoch — the protocol's deadline clock.
@@ -710,6 +738,92 @@ mod tests {
             !line.contains("\"mode\"") && !line.contains("\"blocks\""),
             "{line}"
         );
+    }
+
+    /// Parse a time-bounded spec that also sets `field` to `value`; every
+    /// such spec also passes `validate` without the field.
+    fn parse_with(field: &str, value: &str) -> Result<JobSpec, String> {
+        let doc = format!(
+            "{{\"problem\":{{\"kind\":\"random\",\"n\":16}},\"time_ms\":50,\"{field}\":{value}}}"
+        );
+        JobSpec::from_json(&Json::parse(&doc).unwrap())
+    }
+
+    fn assert_refused(field: &str, value: &str) {
+        let err = parse_with(field, value).expect_err(value);
+        assert!(err.contains(field), "{field}: {err}");
+    }
+
+    #[test]
+    fn units_past_u32_are_refused_not_truncated_to_one_unit() {
+        assert_refused("units", "4294967297");
+    }
+
+    #[test]
+    fn lanes_past_u32_are_refused_not_truncated_to_bulk_mode() {
+        assert_refused("lanes", "4294967360");
+    }
+
+    #[test]
+    fn priority_past_i32_is_refused_not_wrapped_negative() {
+        assert_refused("priority", "2147483648");
+    }
+
+    #[test]
+    fn negative_units_are_refused_not_dropped() {
+        assert_refused("units", "-3");
+    }
+
+    #[test]
+    fn negative_max_batches_are_refused_not_dropped() {
+        assert_refused("max_batches", "-5");
+    }
+
+    #[test]
+    fn mistyped_fields_are_refused_and_null_keeps_the_default() {
+        for (field, value) in [
+            ("devices", "-1"),
+            ("seed", "\"7\""),
+            ("seed", "18446744073709551615"),
+            ("abs", "\"yes\""),
+            ("target", "1.5"),
+            ("deadline_unix_ms", "-1"),
+            ("tenant", "5"),
+            ("idempotency_key", "[]"),
+        ] {
+            assert_refused(field, value);
+        }
+        let problem = |p: &str| {
+            let doc = format!("{{\"problem\":{p},\"max_batches\":10}}");
+            JobSpec::from_json(&Json::parse(&doc).unwrap())
+        };
+        for bad in [
+            "{\"kind\":\"random\",\"n\":-16}",
+            "{\"kind\":\"random\",\"n\":16.5}",
+            "{\"kind\":\"random\",\"seed\":-2}",
+            "{\"kind\":\"random\",\"kernel\":3}",
+            "{\"kind\":\"inline\",\"inline\":7}",
+            "{\"kind\":9}",
+        ] {
+            assert!(problem(bad).is_err(), "{bad}");
+        }
+        // Absent and null are the same default, as `to_json` writes them.
+        let absent = problem("{\"kind\":\"random\"}").unwrap();
+        let null =
+            problem("{\"kind\":\"random\",\"n\":null,\"seed\":null,\"kernel\":null}").unwrap();
+        assert_eq!(null, absent);
+        for field in [
+            "units",
+            "lanes",
+            "priority",
+            "max_batches",
+            "devices",
+            "abs",
+        ] {
+            let spec = parse_with(field, "null").unwrap();
+            assert_eq!(spec, parse_with("tenant", "null").unwrap(), "{field}");
+            spec.validate().unwrap();
+        }
     }
 
     #[test]

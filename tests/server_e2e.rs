@@ -9,11 +9,12 @@
 //! * `cancel` is honored mid-run within [`cancel_latency_bound`] (250 ms
 //!   locally; a load-tolerant bound on shared CI runners),
 //! * a job whose deadline has already passed is rejected at admission,
+//! * a spec field out of its type's range is rejected, not truncated,
 //! * `subscribe` streams monotonically non-increasing incumbent energies.
 
 use dabs::server::{
-    now_unix_ms, timeline_to_chrome, Client, JobSpec, ProblemSpec, Request, Response, Server,
-    ServerConfig, TimelineKind, PROTOCOL_VERSION,
+    now_unix_ms, timeline_to_chrome, Client, ErrorCode, JobSpec, ProblemSpec, Request, Response,
+    Server, ServerConfig, TimelineKind, PROTOCOL_VERSION,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -189,6 +190,40 @@ fn past_deadline_job_is_rejected_at_admission() {
         .expect("future deadline admitted")
         .job;
     assert_eq!(client.try_wait_result(id).unwrap().phase, "done");
+    server.shutdown();
+}
+
+#[test]
+fn an_out_of_range_spec_field_is_rejected_as_bad_spec() {
+    let server = start_server(1);
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut lines = BufReader::new(raw.try_clone().expect("clone")).lines();
+    let mut next = || {
+        let line = lines.next().expect("server closed").expect("read line");
+        Response::parse_line(&line).expect("parse line")
+    };
+    // 2^32 + 1 units: truncated to u32, it would be a one-unit job.
+    let submit = "{\"op\":\"submit\",\"job\":{\"problem\":{\"kind\":\"random\",\"n\":16},\
+                  \"max_batches\":10,\"units\":4294967297}}";
+    writeln!(raw, "{submit}").expect("submit");
+    match next() {
+        Response::Rejected { code, reason } => {
+            assert_eq!(code, ErrorCode::BadSpec, "{reason}");
+            assert!(reason.contains("units"), "{reason}");
+        }
+        other => panic!("expected rejected, got {other:?}"),
+    }
+    // Nothing was admitted, and the connection is still served.
+    writeln!(raw, "{}", Request::Stats.to_json()).expect("stats");
+    match next() {
+        Response::Stats {
+            queued,
+            running,
+            finished,
+            ..
+        } => assert_eq!((queued, running, finished), (0, 0, 0)),
+        other => panic!("expected stats, got {other:?}"),
+    }
     server.shutdown();
 }
 
