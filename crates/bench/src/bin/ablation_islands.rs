@@ -4,7 +4,8 @@
 //! (one island, same total block workers) — the paper's §IV-B diversity
 //! argument in isolation. Thin wrapper over
 //! [`dabs_bench::scenarios::ablation`]; the suite's `ablation_islands`
-//! entry runs the same arms deterministically.
+//! entry runs the same arms sequentially, where the block shape drops out
+//! (4 pools vs 1 pool, one unit each).
 //!
 //! Flags: `--runs N`, `--seed S`, `--budget-ms B`, `--full`.
 

@@ -1673,7 +1673,8 @@ pub mod server_load {
     pub struct ElasticOutcome {
         pub unloaded: LatencySummary,
         pub loaded: LatencySummary,
-        /// Pool gauges read after the loaded pass (the split counter).
+        /// Pool gauges read after the loaded pass (`splits`, the yield
+        /// counter).
         pub load: PoolLoad,
         /// Terminal phase of the saturating job after the closing cancel.
         pub large_phase: String,
@@ -2197,7 +2198,10 @@ pub mod ablation {
 
     /// Island ring (4 pools × 2 blocks) vs a single pool with the same
     /// total block workers (1 × 8). Ignores the plan's device/block shape —
-    /// the shape *is* the ablation.
+    /// the shape *is* the ablation. The block shapes hold only in the
+    /// threaded `run` of the `ablation_islands` bin: the suite entry runs
+    /// `run_sequential`, which steps one unit and ignores
+    /// `blocks_per_device`, so there it is 4 pools against 1 pool.
     pub fn islands_arms() -> Vec<Arm> {
         vec![
             Arm::new("islands", |_, _, p| {

@@ -189,7 +189,7 @@ pub fn registry() -> Vec<SuiteEntry> {
             name: "server_load",
             family: Family::Server,
             about: "small-job p99 isolation under a saturating decomposed job + elastic-pool \
-                    scaling contract (splits from the pool gauges)",
+                    scaling contract (yields from the pool gauges)",
             context: CTX_SOLVER,
             run: scenarios::server_load::load_entry,
         },
@@ -212,7 +212,7 @@ pub fn registry() -> Vec<SuiteEntry> {
         SuiteEntry {
             name: "ablation_islands",
             family: Family::Ablation,
-            about: "4 islands × 2 blocks vs 1 island × 8 blocks",
+            about: "4 islands vs 1 island, one sequential unit each",
             context: CTX_SOLVER,
             run: scenarios::ablation::islands_entry,
         },

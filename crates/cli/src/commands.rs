@@ -164,24 +164,9 @@ pub fn loadgen_from_args(args: &[String]) -> Result<(), String> {
         opts.batches
     );
 
-    // --idle-conns: connection-scaling mode. Park this many idle sockets
-    // on the server for the whole run — they cost the event loop one slab
-    // slot and one epoll registration each, and active traffic must stay
-    // fast behind them.
-    let mut idle_pool = Vec::with_capacity(opts.idle_conns);
-    if opts.idle_conns > 0 {
-        for i in 0..opts.idle_conns {
-            match std::net::TcpStream::connect(addr.as_str()) {
-                Ok(s) => idle_pool.push(s),
-                Err(e) => return Err(format!("idle conn {i}/{}: {e}", opts.idle_conns)),
-            }
-        }
-        println!("holding {} idle connections for the run", idle_pool.len());
-    }
-
     // --watch-pool: a side thread polls `stats` on its own connection and
-    // prints pool load plus per-interval split deltas while the fleet
-    // runs.
+    // prints pool load plus per-interval deltas of its `splits` count (the
+    // priority yields) while the fleet runs.
     let stop = Arc::new(AtomicBool::new(false));
     let watcher = opts.watch_pool.map(|interval_ms| {
         let addr = addr.clone();
@@ -208,7 +193,6 @@ pub fn loadgen_from_args(args: &[String]) -> Result<(), String> {
         let _ = h.join();
     }
     let all = driven?;
-    drop(idle_pool);
     if let Some(s) = local {
         s.shutdown();
     }

@@ -100,7 +100,7 @@ SERVER:
   over TCP (see docs/PROTOCOL.md). dabs loadgen drives it with C
   concurrent clients × J jobs and reports jobs/s and latency percentiles;
   without --addr it spins up an in-process server first, and with
-  --watch-pool MS it prints pool load + split deltas every MS ms.
+  --watch-pool MS it prints pool load + yield deltas every MS ms.
   --chaos SPEC arms deterministic fault injection (WAL errors, unit
   panics, worker kills, socket EIO — grammar in docs/RELIABILITY.md);
   --allow-volatile keeps admitting while the job log is degraded.

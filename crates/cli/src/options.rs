@@ -218,13 +218,9 @@ pub struct LoadgenOptions {
     /// Workers for the in-process server (ignored with `--addr`).
     pub workers: usize,
     pub seed: u64,
-    /// Print pool-load snapshots (with split deltas) every N ms
+    /// Print pool-load snapshots (with yield deltas) every N ms
     /// while the fleet runs.
     pub watch_pool: Option<u64>,
-    /// Connection-scaling mode: hold this many extra idle connections open
-    /// for the whole run, demonstrating the event loop's cost per idle
-    /// socket (0 = off).
-    pub idle_conns: usize,
 }
 
 impl LoadgenOptions {
@@ -238,7 +234,6 @@ impl LoadgenOptions {
             workers: 2,
             seed: 1,
             watch_pool: None,
-            idle_conns: 0,
         };
         let mut it = args.iter();
         while let Some(a) = it.next() {
@@ -256,7 +251,6 @@ impl LoadgenOptions {
                 "--workers" => o.workers = parse(&value("workers")?, "workers")?,
                 "--seed" => o.seed = parse(&value("seed")?, "seed")?,
                 "--watch-pool" => o.watch_pool = Some(parse(&value("watch-pool")?, "watch-pool")?),
-                "--idle-conns" => o.idle_conns = parse(&value("idle-conns")?, "idle-conns")?,
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
@@ -511,13 +505,6 @@ mod tests {
         assert_eq!(o.watch_pool, Some(250));
         assert!(LoadgenOptions::parse(&["--watch-pool".into(), "0".into()]).is_err());
         assert!(LoadgenOptions::parse(&["--watch-pool".into()]).is_err());
-    }
-
-    #[test]
-    fn loadgen_idle_conns_flag() {
-        assert_eq!(LoadgenOptions::parse(&[]).unwrap().idle_conns, 0);
-        let args: Vec<String> = vec!["--idle-conns".into(), "500".into()];
-        assert_eq!(LoadgenOptions::parse(&args).unwrap().idle_conns, 500);
     }
 
     #[test]

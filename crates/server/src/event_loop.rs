@@ -328,9 +328,9 @@ fn run_loop(
             }
         }
         let _ = poll.poll(&mut events, Some(Duration::from_millis(10)));
-        if let Some(d) = notifier.take_dirty().last() {
-            let _ = d; // lines queued during shutdown flush are covered by the sweep above
-        }
+        // Drop the dirty marks: the pending scan above finds every
+        // connection with queued bytes, including lines queued since.
+        notifier.take_dirty();
     }
     for idx in 0..slab.conns.len() {
         close_conn(poll, &mut slab, idx);

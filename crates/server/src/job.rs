@@ -127,8 +127,8 @@ pub enum UnitEnd {
 }
 
 /// Aggregation state for a job decomposed into units. `total` can grow
-/// while units run (in-job splitting); the fold fires when `finished`
-/// catches up to it.
+/// while units run (a priority yield's continuation); the fold fires when
+/// `finished` catches up to it.
 #[derive(Debug, Default)]
 struct UnitBook {
     total: u32,
@@ -367,10 +367,10 @@ impl JobRecord {
         self.push_timeline(TimelineKind::Admitted);
     }
 
-    /// In-job split: a running unit carved off part of its remaining budget
-    /// as a new queued unit. Returns `false` (and registers nothing) if
+    /// Priority yield: a running unit hands the rest of its budget to a new
+    /// queued continuation unit. Returns `false` (and registers nothing) if
     /// the job is already terminal.
-    pub fn add_split_unit(&self) -> bool {
+    pub fn add_continuation_unit(&self) -> bool {
         let st = self.state.lock().expect("job state lock");
         if st.phase.is_terminal() {
             return false;

@@ -8,8 +8,9 @@
 //!   over one unit queue: jobs decompose at admission into *units* (slices
 //!   of the batch budget, cube-seeded starts for large instances; the
 //!   `units` field sets the width), an idle worker pops the most urgent
-//!   queued unit, and a running unit splits off half its remaining budget
-//!   when the pool goes idle. Admission is bounded and unit-granular; jobs with already-passed
+//!   queued unit, and a running unit yields its remainder to a strictly
+//!   higher-priority unit when no worker is free.
+//!   Admission is bounded and unit-granular; jobs with already-passed
 //!   deadlines are refused at the door and re-checked at dequeue.
 //! * **Job lifecycle** ([`JobRecord`]) — per-job [`StopFlag`] cancellation
 //!   (honored between batches), incumbent broadcast between units of the

@@ -130,6 +130,7 @@ pub struct PoolLoad {
     pub workers: u64,
     pub busy: u64,
     pub queued_units: u64,
+    /// The wire's `splits`: continuation units minted by priority yields.
     pub splits: u64,
 }
 

@@ -2,7 +2,7 @@
 //! timelines.
 //!
 //! [`PoolObs`] is the process-wide tally of scheduler activity — every
-//! enqueue, pop, split, yield, expiry, and revocation, plus
+//! enqueue, pop, yield, expiry, and revocation, plus
 //! log-bucketed histograms of queue wait and unit run time. It feeds the
 //! `metrics` protocol verb (via [`PoolObs::metrics_into`]) next to the
 //! solver's own counters.
@@ -22,12 +22,10 @@ use std::sync::OnceLock;
 /// Process-wide pool activity counters and latency histograms.
 #[derive(Debug)]
 pub struct PoolObs {
-    /// Units queued (admission + splits + yields).
+    /// Units queued (admission + yield continuations).
     pub enqueued: Counter,
     /// Units popped off the queue by a worker.
     pub popped: Counter,
-    /// Units created by idle-splitting a running unit's budget.
-    pub splits: Counter,
     /// Units created by priority-yielding a running unit's remainder.
     pub yields: Counter,
     /// Jobs expired by the stale-deadline dequeue check.
@@ -54,7 +52,6 @@ impl PoolObs {
         Self {
             enqueued: Counter::new(),
             popped: Counter::new(),
-            splits: Counter::new(),
             yields: Counter::new(),
             expired: Counter::new(),
             revoked: Counter::new(),
@@ -74,7 +71,6 @@ impl PoolObs {
         for (name, c) in [
             ("pool.units_enqueued", &self.enqueued),
             ("pool.units_popped", &self.popped),
-            ("pool.splits", &self.splits),
             ("pool.yields", &self.yields),
             ("pool.expired", &self.expired),
             ("pool.revoked", &self.revoked),
@@ -510,7 +506,6 @@ mod tests {
         for name in [
             "pool.units_enqueued",
             "pool.units_popped",
-            "pool.splits",
             "pool.yields",
             "pool.expired",
             "pool.revoked",

@@ -4,8 +4,8 @@
 //! The fixed job-per-worker pool bound one whole job to one long-lived
 //! thread — a single saturating job monopolized its worker while siblings
 //! idled. Here admission decomposes every job into **units** (slices of its
-//! batch budget, plus cube-seeded subproblem starts for large instances),
-//! all queued on one pool-wide queue:
+//! batch budget, plus cube-seeded subproblem starts for large instances,
+//! planned once by [`decompose`]), all queued on one pool-wide queue:
 //!
 //! - an idle worker takes the most urgent queued unit (priority first, then
 //!   units of jobs that have not started yet, then earliest deadline, then
@@ -14,15 +14,18 @@
 //!   improving solution is published to the [`JobRecord`], and a freshly
 //!   dispatched unit warm-starts from the job's current best instead of
 //!   from scratch;
-//! - a running unit **splits cooperatively**: between scheduling quanta it
-//!   checks whether the pool has gone idle, and if so carves half of its
-//!   remaining batch budget into a new queued unit; symmetrically it
-//!   *yields* its remainder as a continuation unit when a strictly
-//!   higher-priority unit is waiting and no worker is free;
+//! - a running unit *yields* its remainder as a continuation unit when a
+//!   strictly higher-priority unit is waiting and no worker is free — the
+//!   one re-plan made mid-run, so a one-unit job is the sequential run
+//!   unless it yields;
 //! - cancel revokes all queued units of the job, and a unit popped after
 //!   its job's deadline passed re-checks the deadline (stale-deadline
 //!   dequeue) so an expired job reports `expired` without burning pool
 //!   time.
+//!
+//! All scheduling state — the queue, the busy-worker count and the
+//! brownout latch — sits in one [`Sched`] behind one mutex, so a pop, an
+//! admission check, a yield decision or a gauge read sees one state.
 //!
 //! A job's terminal phase is the fold of its unit outcomes
 //! ([`JobRecord::finish_unit`]); per-unit completion is judged by
@@ -36,7 +39,7 @@ use crate::obs::{pool_obs, TimelineKind};
 use crate::spec::{now_unix_ms, JobSpec, MAX_UNITS_PER_JOB};
 use dabs_core::{Incumbent, IncumbentObserver, SolveResult, Termination, UnitOutcome, WarmStart};
 use dabs_model::{IncrementalState, QuboModel, Solution};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -80,30 +83,17 @@ impl std::fmt::Display for AdmissionError {
 /// offline reference.
 pub const MIN_UNIT_BATCHES: u64 = 100;
 
-/// Batches a unit runs between scheduler checks (split / yield points).
-/// Cancellation does not wait for a quantum boundary — the stop flag is
-/// checked before every batch inside the solver.
-const SPLIT_QUANTUM: u64 = 32;
+/// Batches a unit runs between yield checks. Cancellation does not wait
+/// for a quantum boundary — the stop flag is checked before every batch
+/// inside the solver.
+const YIELD_QUANTUM: u64 = 32;
 
-/// A unit will not split or yield below this remaining budget.
-const MIN_SPLIT_BATCHES: u64 = 64;
+/// A unit will not yield below this remaining budget, so a continuation
+/// unit never has an empty budget.
+const MIN_YIELD_BATCHES: u64 = 64;
 
 /// How often the supervisor scans for dead worker threads.
 const SUPERVISE_TICK: Duration = Duration::from_millis(10);
-
-/// Budget an idle-split carves off for the sibling: half the remaining
-/// batches, but only when **both** halves stay positive — `None` otherwise.
-/// The explicit guard (rather than relying on [`MIN_SPLIT_BATCHES`] staying
-/// ≥ 2) is what keeps a unit with 0 or 1 remaining batches from minting a
-/// zero-budget sibling whose empty run would fold as a phantom unit
-/// outcome.
-fn split_carve(remaining: u64) -> Option<u64> {
-    let carved = remaining / 2;
-    if carved == 0 || remaining - carved == 0 {
-        return None;
-    }
-    Some(carved)
-}
 
 /// Cube seeding kicks in at this instance size (known-`n` problems only).
 const CUBE_MIN_N: usize = 128;
@@ -155,7 +145,7 @@ struct UnitTask {
     /// Pool-wide admission order; lower = earlier (FIFO tie-break).
     seq: u64,
     /// When this unit entered the queue — the origin of its queue-wait
-    /// measurement. Split/yield continuations reset it at re-enqueue.
+    /// measurement. A yield continuation resets it at re-enqueue.
     enqueued_at: Instant,
 }
 
@@ -187,8 +177,9 @@ pub struct PoolGauges {
     pub busy: u64,
     /// Units waiting in the queue.
     pub queued_units: u64,
-    /// Units created by in-job splitting (idle-split + priority yield).
-    pub splits: u64,
+    /// Continuation units minted by priority yields (the `stats` reply's
+    /// `splits`).
+    pub yields: u64,
     /// Dead worker threads respawned by the supervisor.
     pub worker_restarts: u64,
     /// Queued units evicted by overload brownout.
@@ -198,11 +189,20 @@ pub struct PoolGauges {
     pub brownout: bool,
 }
 
+/// The pool's scheduling state, all behind [`PoolShared::sched`].
 #[derive(Debug)]
 struct Sched {
     queue: Vec<UnitTask>,
     next_seq: u64,
     closed: bool,
+    /// Workers executing a unit: counted at the pop, released when the
+    /// unit has ended.
+    busy: usize,
+    /// Overload brownout latch: set when a shed happens, cleared by the
+    /// first pop that leaves the queue below half capacity. While set,
+    /// victim-less full rejections are reported as `Shed` so clients back
+    /// off.
+    brownout: bool,
 }
 
 #[derive(Debug)]
@@ -211,15 +211,9 @@ struct PoolShared {
     available: Condvar,
     capacity: usize,
     workers: usize,
-    busy: AtomicUsize,
-    queued: AtomicUsize,
-    splits: AtomicU64,
+    yields: AtomicU64,
     restarts: AtomicU64,
     shed: AtomicU64,
-    /// Overload brownout latch: set when a shed happens, cleared once the
-    /// queue drains below half capacity. While set, victim-less full
-    /// rejections are reported as `Shed` so clients back off.
-    brownout: AtomicBool,
     /// Fault-injection plan (`None` in production — the hooks cost one
     /// branch on a `None` option).
     chaos: Option<Arc<FaultPlan>>,
@@ -227,42 +221,28 @@ struct PoolShared {
 
 impl PoolShared {
     /// The scheduler lock, recovering from poisoning: every mutation under
-    /// it is a single push/remove that leaves the queue structurally
-    /// intact, so when a worker thread dies mid-section the survivors take
-    /// the guard back instead of cascading the panic pool-wide. The death
-    /// itself stays supervisor-visible through the dead thread's handle.
+    /// it is a single push/remove or counter step that leaves the state
+    /// structurally intact, so when a worker thread dies mid-section the
+    /// survivors take the guard back instead of cascading the panic
+    /// pool-wide. The death itself stays supervisor-visible through the
+    /// dead thread's handle.
     fn lock_sched(&self) -> MutexGuard<'_, Sched> {
         self.sched.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Queued-unit count (gauge; racy by nature).
-    fn queued_units(&self) -> usize {
-        self.queued.load(Ordering::Relaxed)
-    }
-
-    fn idle_workers(&self) -> usize {
-        self.workers
-            .saturating_sub(self.busy.load(Ordering::Relaxed))
-    }
-
-    /// Queue one unit: a split or yield continuation, or a unit handed
-    /// back by a dying worker.
+    /// Queue a priority yield's continuation unit.
     fn push_unit(&self, task: UnitTask) {
-        let mut s = self.lock_sched();
-        s.queue.push(task);
-        self.queued.fetch_add(1, Ordering::Relaxed);
+        self.lock_sched().queue.push(task);
         pool_obs().enqueued.inc();
-        drop(s);
         self.available.notify_all();
     }
 
-    /// Is a strictly higher-priority unit waiting anywhere? (Yield check —
-    /// only meaningful when no worker is idle to take it.)
-    fn higher_priority_waiting(&self, than: i32) -> bool {
-        if self.queued_units() == 0 {
-            return false;
-        }
-        self.lock_sched().queue.iter().any(|t| t.priority > than)
+    /// Should a running unit of priority `than` yield? Only when no worker
+    /// is idle to take the waiting work and a strictly higher-priority unit
+    /// is queued.
+    fn should_yield(&self, than: i32) -> bool {
+        let s = self.lock_sched();
+        s.busy >= self.workers && s.queue.iter().any(|t| t.priority > than)
     }
 }
 
@@ -295,16 +275,15 @@ impl ElasticPool {
                 queue: Vec::new(),
                 next_seq: 0,
                 closed: false,
+                busy: 0,
+                brownout: false,
             }),
             available: Condvar::new(),
             capacity: capacity.max(1),
             workers,
-            busy: AtomicUsize::new(0),
-            queued: AtomicUsize::new(0),
-            splits: AtomicU64::new(0),
+            yields: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            brownout: AtomicBool::new(false),
             chaos,
         });
         let slots: Arc<Mutex<Vec<Option<JoinHandle<()>>>>> = Arc::new(Mutex::new(
@@ -347,15 +326,16 @@ impl ElasticPool {
 
     /// Occupancy and throughput counters.
     pub fn gauges(&self) -> PoolGauges {
+        let s = self.shared.lock_sched();
         PoolGauges {
             workers: self.shared.workers as u64,
             unit_threads: unit_thread_share(self.shared.workers) as u64,
-            busy: self.shared.busy.load(Ordering::Relaxed) as u64,
-            queued_units: self.shared.queued_units() as u64,
-            splits: self.shared.splits.load(Ordering::Relaxed),
+            busy: s.busy as u64,
+            queued_units: s.queue.len() as u64,
+            yields: self.shared.yields.load(Ordering::Relaxed),
             worker_restarts: self.shared.restarts.load(Ordering::Relaxed),
             shed_units: self.shared.shed.load(Ordering::Relaxed),
-            brownout: self.shared.brownout.load(Ordering::Relaxed),
+            brownout: s.brownout,
         }
     }
 
@@ -381,9 +361,9 @@ impl ElasticPool {
             // to make room. A victim-less full rejection while the brownout
             // latch is set comes back as `Shed` so clients back off instead
             // of hammering a saturated pool.
-            while self.shared.queued_units() + works.len() > self.shared.capacity {
+            while s.queue.len() + works.len() > self.shared.capacity {
                 if !shed_one_lower(&self.shared, &mut s, record.spec.priority) {
-                    return Err(if self.shared.brownout.load(Ordering::Relaxed) {
+                    return Err(if s.brownout {
                         AdmissionError::Shed
                     } else {
                         AdmissionError::Full {
@@ -404,7 +384,6 @@ impl ElasticPool {
                     seq,
                     enqueued_at: Instant::now(),
                 });
-                self.shared.queued.fetch_add(1, Ordering::Relaxed);
                 pool_obs().enqueued.inc();
             }
         }
@@ -498,9 +477,8 @@ fn shed_one_lower(shared: &PoolShared, s: &mut Sched, than: i32) -> bool {
     let before = s.queue.len();
     s.queue.retain(|t| t.record.id != victim.id);
     let removed = (before - s.queue.len()) as u64;
-    shared.queued.fetch_sub(removed as usize, Ordering::Relaxed);
     shared.shed.fetch_add(removed, Ordering::Relaxed);
-    shared.brownout.store(true, Ordering::Relaxed);
+    s.brownout = true;
     pool_obs().shed_units.add(removed);
     victim.stop.stop();
     victim.finish(
@@ -511,7 +489,10 @@ fn shed_one_lower(shared: &PoolShared, s: &mut Sched, than: i32) -> bool {
     removed > 0
 }
 
-/// Decompose a job spec into unit work descriptors.
+/// Plan a job's units: each is a slice of the batch budget, the first
+/// 2^[`CUBE_BITS`] of a wide job on a large instance starting from a cube
+/// corner. The one place a job's units are planned; only a priority yield
+/// adds a unit later, and it moves budget rather than minting it.
 ///
 /// - Batch-budget jobs split into at most `workers` even slices, but only
 ///   once the budget is ≥ 2×[`MIN_UNIT_BATCHES`] — small jobs stay
@@ -595,8 +576,19 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
                     .max_by_key(|(_, t)| t.urgency())
                     .map(|(j, _)| j);
                 if let Some(j) = chosen {
+                    if chaos_hit(&shared.chaos, FaultSite::WorkerKill) {
+                        // Simulated worker death: leave the unit queued and
+                        // vanish. The supervisor notices the dead slot
+                        // within a tick and respawns it; no unit is lost.
+                        return;
+                    }
                     let t = s.queue.remove(j);
-                    shared.queued.fetch_sub(1, Ordering::Relaxed);
+                    s.busy += 1;
+                    if s.brownout && s.queue.len() < shared.capacity / 2 {
+                        // The queue drained below half capacity: brownout
+                        // is over.
+                        s.brownout = false;
+                    }
                     break (Some(t), s.closed);
                 }
                 if s.closed {
@@ -611,24 +603,12 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
         let Some(task) = task else {
             return; // closed and fully drained
         };
-        if shared.brownout.load(Ordering::Relaxed) && shared.queued_units() < shared.capacity / 2 {
-            // The queue drained below half capacity: brownout is over.
-            shared.brownout.store(false, Ordering::Relaxed);
-        }
-        if chaos_hit(&shared.chaos, FaultSite::WorkerKill) {
-            // Simulated worker death: give the unit back, then vanish. The
-            // supervisor notices the dead slot within a tick and respawns
-            // it; no unit is lost.
-            shared.push_unit(task);
-            return;
-        }
         let queue_wait = task.enqueued_at.elapsed();
         let obs = pool_obs();
         obs.popped.inc();
         obs.queue_wait_us.record(queue_wait.as_micros() as u64);
-        shared.busy.fetch_add(1, Ordering::Relaxed);
         run_task(Some((shared, me)), &task, revoked, queue_wait);
-        shared.busy.fetch_sub(1, Ordering::Relaxed);
+        shared.lock_sched().busy -= 1;
     }
 }
 
@@ -643,7 +623,7 @@ fn end_name(end: UnitEnd) -> &'static str {
 }
 
 /// Execute (or revoke) one popped unit. `pool` is absent when called from
-/// the standalone [`execute`] path — no splitting or yielding then.
+/// the standalone [`execute`] path — no yielding then.
 /// `queue_wait` is how long the unit sat in the queue before this pop.
 fn run_task(
     pool: Option<(&Arc<PoolShared>, usize)>,
@@ -828,7 +808,7 @@ fn execute_unit(pool: Option<&PoolShared>, task: &UnitTask, ordinal: u32) {
     let share = unit_thread_share(pool.map_or(1, |p| p.workers)).min(solver.config().devices);
     let mut unit = solver.start_unit(&model, term.clone(), Some(observer), warm);
     let mut remaining = slice.unwrap_or(u64::MAX);
-    let mut assigned = slice; // shrinks when this unit splits or yields
+    let mut assigned = slice; // shrinks when this unit yields
     while remaining > 0 {
         let before = unit.batches();
         let long = before > 0
@@ -837,7 +817,7 @@ fn execute_unit(pool: Option<&PoolShared>, task: &UnitTask, ordinal: u32) {
         let quantum = if before == 0 && share > 1 {
             PROBE_BATCHES
         } else {
-            SPLIT_QUANTUM
+            YIELD_QUANTUM
         };
         let terminated = unit.step(remaining.min(quantum));
         remaining = remaining.saturating_sub(unit.batches() - before);
@@ -847,60 +827,33 @@ fn execute_unit(pool: Option<&PoolShared>, task: &UnitTask, ordinal: u32) {
         let Some(shared) = pool else {
             continue;
         };
-        if slice.is_none() {
-            continue; // window-bounded units have no batch budget to split
-        }
-        if remaining >= 2 * MIN_SPLIT_BATCHES
-            && shared.idle_workers() > 0
-            && shared.queued_units() == 0
-        {
-            // In-job split: the pool went idle mid-run — carve half the
-            // remaining budget into a queued sibling so the idle worker
-            // joins this job (warm-started from the shared incumbent).
-            let Some(carved) = split_carve(remaining) else {
-                continue;
-            };
-            if record.add_split_unit() {
-                remaining -= carved;
-                assigned = assigned.map(|a| a - carved);
-                shared.splits.fetch_add(1, Ordering::Relaxed);
-                pool_obs().splits.inc();
-                shared.push_unit(UnitTask {
-                    record: Arc::clone(record),
-                    work: UnitWork::Slice {
-                        batches: Some(carved),
-                    },
-                    enqueued_at: Instant::now(),
-                    ..task.clone()
-                });
-            }
-        } else if remaining >= MIN_SPLIT_BATCHES.max(1)
-            && shared.idle_workers() == 0
-            && shared.higher_priority_waiting(task.priority)
+        // Window-bounded units have no batch budget to hand over.
+        if slice.is_some()
+            && remaining >= MIN_YIELD_BATCHES
+            && shared.should_yield(task.priority)
+            && record.add_continuation_unit()
         {
             // Priority yield: hand the remainder back as a continuation
             // unit and free this worker for the more urgent one. The
             // executed prefix is complete in itself; the continuation owns
             // the rest of the budget.
-            if record.add_split_unit() {
-                assigned = assigned.map(|a| a - remaining);
-                shared.splits.fetch_add(1, Ordering::Relaxed);
-                pool_obs().yields.inc();
-                shared.push_unit(UnitTask {
-                    record: Arc::clone(record),
-                    work: UnitWork::Slice {
-                        batches: Some(remaining),
-                    },
-                    enqueued_at: Instant::now(),
-                    ..task.clone()
-                });
-                break;
-            }
+            assigned = assigned.map(|a| a - remaining);
+            shared.yields.fetch_add(1, Ordering::Relaxed);
+            pool_obs().yields.inc();
+            shared.push_unit(UnitTask {
+                record: Arc::clone(record),
+                work: UnitWork::Slice {
+                    batches: Some(remaining),
+                },
+                enqueued_at: Instant::now(),
+                ..task.clone()
+            });
+            break;
         }
     }
     let out = unit.finish();
-    // Judge this unit against the budget it actually kept (after splits and
-    // yields) — exactly PR 2's completion rule, per unit.
+    // Judge this unit against the budget it actually kept (after a yield):
+    // the job's completion rule, applied per unit.
     let mut judged = term;
     judged.max_batches = assigned;
     if out.result.reached_target {
@@ -919,7 +872,7 @@ fn execute_unit(pool: Option<&PoolShared>, task: &UnitTask, ordinal: u32) {
 /// Execute one job record synchronously to a terminal phase, as a
 /// sequential fold of the same units the pool would create for a one-worker
 /// pool (FIFO, incumbent broadcast between consecutive units, no
-/// splitting). Public so embedded callers — tests, single-shot tools —
+/// yielding). Public so embedded callers — tests, single-shot tools —
 /// can run a record without a pool; also the reference the scheduler's
 /// merged results are property-tested against.
 pub fn execute(record: &Arc<JobRecord>) {
@@ -952,7 +905,7 @@ pub fn execute(record: &Arc<JobRecord>) {
 
 /// Decide the terminal phase of a run that just returned `result`, where
 /// `term` is the termination the run *actually* executed under (including
-/// the deadline clamp and any budget moved to split/continuation units —
+/// the deadline clamp and any budget moved to a yield's continuation unit —
 /// not a recomputation from the spec, which would misjudge a
 /// deadline-clamped run that completed its whole window).
 ///
@@ -1033,6 +986,38 @@ mod tests {
     }
 
     #[test]
+    fn one_unit_job_on_an_idle_pool_is_the_sequential_run() {
+        // Admission plans the only units a job runs: a `units: 1` job with a
+        // budget far above the decomposition floor stays one unit even with
+        // a second worker idle the whole time, and is the offline run.
+        let registry = registry();
+        let pool = ElasticPool::spawn(2, 64);
+        let record = registry.register(JobSpec {
+            problem: ProblemSpec::random(64, 5),
+            units: Some(1),
+            ..small_job(5, 1_000)
+        });
+        pool.submit(&record).unwrap();
+        assert!(record.wait_terminal(Duration::from_secs(120)));
+        pool.close();
+        pool.join();
+        assert_eq!(record.unit_counts(), (1, 1, 1));
+        let (phase, result, error) = record.snapshot();
+        assert_eq!(phase, JobPhase::Done, "{error:?}");
+        let result = result.unwrap();
+        let (model, _) = record.spec.problem.build().unwrap();
+        let reference = record
+            .spec
+            .build_solver()
+            .unwrap()
+            .run_sequential(&model, record.spec.termination());
+        assert_eq!(result.best, reference.best);
+        assert_eq!(result.energy, reference.energy);
+        assert_eq!(result.batches, reference.batches);
+        assert_eq!(result.flips, reference.flips);
+    }
+
+    #[test]
     fn decomposed_job_executes_all_units_and_spends_the_whole_budget() {
         let registry = registry();
         let pool = ElasticPool::spawn(4, 64);
@@ -1046,34 +1031,13 @@ mod tests {
         assert_eq!(phase, JobPhase::Done, "{error:?}");
         let result = result.unwrap();
         // Merged batches must equal the full budget: no unit lost, none
-        // duplicated (splits move budget, they never mint it).
+        // duplicated (a yield moves budget, it never mints it).
         assert_eq!(result.batches, 1_200);
         let (total, started, finished) = record.unit_counts();
         assert_eq!(finished, total);
         assert!(started >= 6, "{started} of {total} units started");
         pool.close();
         pool.join();
-    }
-
-    #[test]
-    fn split_carve_never_mints_zero_budget_siblings() {
-        // Regression for the phantom-unit fold: remaining ∈ {0, 1} must not
-        // split at all, and every legal carve leaves both sides positive.
-        assert_eq!(split_carve(0), None);
-        assert_eq!(split_carve(1), None);
-        assert_eq!(split_carve(2), Some(1));
-        assert_eq!(split_carve(2 * MIN_SPLIT_BATCHES), Some(MIN_SPLIT_BATCHES));
-        for remaining in 0..=512u64 {
-            if let Some(carved) = split_carve(remaining) {
-                assert!(carved > 0, "zero-budget sibling at remaining={remaining}");
-                assert!(
-                    remaining - carved > 0,
-                    "parent left empty at remaining={remaining}"
-                );
-            } else {
-                assert!(remaining < 2, "refused a splittable budget {remaining}");
-            }
-        }
     }
 
     #[test]
@@ -1159,8 +1123,8 @@ mod tests {
 
     #[test]
     fn one_worker_pops_by_priority_then_fresh_then_deadline_then_admission() {
-        // Time-bounded units have no batch budget, so they never split or
-        // yield: each runs its whole 40 ms window, and the start order is
+        // Time-bounded units have no batch budget, so they never yield:
+        // each runs its whole 40 ms window, and the start order is
         // exactly the pop order. A blocker holds the only worker while the
         // rest queue; each later job differs from an earlier one in one
         // urgency key.

@@ -337,7 +337,7 @@ pub enum Response {
         busy_workers: u64,
         /// Units waiting in the pool's queue.
         queued_units: u64,
-        /// Units created by in-job splitting (lifetime total).
+        /// Continuation units created by priority yields (lifetime total).
         splits: u64,
     },
     /// Full observability snapshot (`metrics` request).
@@ -724,7 +724,7 @@ mod tests {
                 metrics: Box::new({
                     let mut set = dabs_core::MetricSet::new();
                     set.push(dabs_core::Metric::new(
-                        "pool.splits",
+                        "pool.yields",
                         17.0,
                         "count",
                         dabs_core::Direction::HigherIsBetter,

@@ -316,7 +316,7 @@ impl ServerState {
             queue_capacity: self.pool.capacity() as u64,
             busy_workers: gauges.busy,
             queued_units: gauges.queued_units,
-            splits: gauges.splits,
+            splits: gauges.yields,
         }
     }
 

@@ -458,7 +458,8 @@ pub struct JobSpec {
     /// from the batch budget and worker count; capped at
     /// [`MAX_UNITS_PER_JOB`]. The first unit runs with `seed`, the others
     /// with their own `DabsSolver::for_unit` seeds, so only a single-unit
-    /// job is reproducible run for run.
+    /// job is reproducible run for run: it equals the `run_sequential` run
+    /// of the same spec unless a higher-priority unit makes it yield.
     pub units: Option<u32>,
     /// Bit-sliced batch width per device: `None`/0 runs the scalar
     /// strategies, a multiple of 64 in `[64, 256]` runs the bulk lockstep

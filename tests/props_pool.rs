@@ -5,8 +5,9 @@
 //! * **Conservation** — under random submit/cancel interleavings across a
 //!   multi-worker pool, no unit is ever lost or duplicated: every job goes
 //!   terminal, every planned unit is accounted exactly once, and a job that
-//!   folds `done` has executed *exactly* its batch budget (splitting moves
-//!   budget between units, it never mints or burns any).
+//!   folds `done` has executed *exactly* its batch budget (a priority
+//!   yield moves the rest of a unit's budget into its continuation unit,
+//!   it never mints or burns any).
 //! * **Sequential equivalence** — a one-worker pool executes a decomposed
 //!   job as the same unit sequence the standalone `execute()` fold runs, so
 //!   their merged results are identical field-for-field. Both take their
