@@ -362,6 +362,15 @@ pub fn compare(opts: &Options) -> Result<(), String> {
         }
     );
 
+    // The Ising form scales energies by 4, which `to_ising` refuses to do
+    // beyond a quarter of i64.
+    if model.coefficient_mass() > i64::MAX / 4 {
+        println!(
+            "{:<22} {:>14}",
+            "discrete SB", "skipped (coefficients beyond i64::MAX / 4)"
+        );
+        return Ok(());
+    }
     let (ising, c) = model.to_ising();
     let r = SimulatedBifurcation::new(SbConfig {
         steps: 5_000,

@@ -174,3 +174,35 @@ fn unknown_command_fails_with_exit_1() {
         assert!(stderr(&out).contains("unknown command"), "{command}");
     }
 }
+
+#[test]
+fn solve_refuses_a_file_whose_coefficients_overflow() {
+    // M = 2^62 − 1 on both diagonals and the pair: the all-ones energy 3M
+    // fits no i64, and it used to come back wrapped as the best answer.
+    let m = i64::MAX / 2;
+    let path = std::env::temp_dir().join(format!("dabs-overflow-{}.qubo", std::process::id()));
+    std::fs::write(
+        &path,
+        format!("p qubo 0 2 2 1\n0 0 {m}\n1 1 {m}\n0 1 {m}\n"),
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    let out = dabs(&[
+        "solve",
+        "--file",
+        file,
+        "--seed",
+        "1",
+        "--budget-ms",
+        "200",
+        "--json",
+    ]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout(&out));
+    assert!(stdout(&out).is_empty(), "no result may be printed");
+    assert!(
+        stderr(&out).contains("coefficients out of range"),
+        "stderr: {}",
+        stderr(&out)
+    );
+}

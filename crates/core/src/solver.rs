@@ -942,7 +942,7 @@ impl<K: BatchKernel> Drop for LeaveOnPanic<'_, '_, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dabs_model::QuboBuilder;
+    use dabs_model::{KernelChoice, KernelKind, QuboBuilder};
 
     fn random_model(n: usize, density: f64, seed: u64) -> QuboModel {
         let mut rng = Xorshift64Star::new(seed);
@@ -1411,6 +1411,55 @@ mod tests {
         assert_eq!(run.flips, seq.flips);
         assert_eq!(run.frequencies, seq.frequencies);
         assert_eq!(run.first_finder, seq.first_finder);
+    }
+
+    #[test]
+    fn a_weight_beyond_i32_runs_csr_with_the_same_results() {
+        // A 0.6-density model auto-selects dense unless one off-diagonal
+        // weight leaves the 32-bit strips; then `Auto` and a forced `Dense`
+        // both keep CSR, and the search is the one a `Csr` build runs.
+        let wide = [i64::from(i32::MAX) + 1, i64::from(i32::MIN) - 1];
+        let build = |w: i64, kernel: KernelChoice| {
+            let mut rng = Xorshift64Star::new(230);
+            let mut b = QuboBuilder::new(40);
+            b.kernel(kernel);
+            for i in 0..40 {
+                b.add_linear(i, rng.next_range_i64(-9, 9));
+                for j in (i + 1)..40 {
+                    if rng.next_bool(0.6) {
+                        b.add_quadratic(i, j, rng.next_range_i64(-9, 9));
+                    }
+                }
+            }
+            b.add_quadratic(3, 17, w);
+            b.build().unwrap()
+        };
+        assert_eq!(
+            build(0, KernelChoice::Auto).kernel_kind(),
+            KernelKind::Dense
+        );
+        let solver = DabsSolver::new(DabsConfig {
+            devices: 3,
+            blocks_per_device: 1,
+            pool_capacity: 8,
+            seed: 98,
+            ..DabsConfig::default()
+        })
+        .unwrap();
+        for w in wide {
+            let reference =
+                solver.run_sequential(&build(w, KernelChoice::Csr), Termination::batches(120));
+            for kernel in [KernelChoice::Auto, KernelChoice::Dense] {
+                let q = build(w, kernel);
+                assert_eq!(q.kernel_kind(), KernelKind::Csr, "w={w} {kernel:?}");
+                let r = solver.run_sequential(&q, Termination::batches(120));
+                assert_eq!(r.best, reference.best, "w={w} {kernel:?}");
+                assert_eq!(r.energy, reference.energy);
+                assert_eq!(r.flips, reference.flips);
+                assert_eq!(r.frequencies, reference.frequencies);
+                assert_eq!(q.energy(&r.best), r.energy);
+            }
+        }
     }
 
     #[test]

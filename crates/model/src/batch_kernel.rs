@@ -25,6 +25,7 @@
 //! the contract the parity tests at the bottom of this file pin for both
 //! backends at word-boundary sizes.
 
+use crate::isa::{self, Tier};
 use crate::kernel::sign_select;
 use crate::{CsrKernel, DenseKernel, QuboKernel, Solution};
 
@@ -100,7 +101,7 @@ fn accumulate_lane_word(dst: &mut [i64; 64], w: i64, sgn: u64, bits: &[u8]) {
     }
 }
 
-/// Explicit AVX-512 lane loops, used when the CPU supports them. The batch
+/// The explicit AVX-512 row walk, used when the CPU supports it. The batch
 /// accumulate is exactly the predicated-SIMT model the module docs describe,
 /// and AVX-512's masked ops express it directly: `vpmovm2q` expands eight
 /// sign bits to per-lane all-ones (so `(w ^ neg) − neg` is the vector
@@ -112,16 +113,11 @@ mod simd {
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
-    /// Runtime CPU check, from the crate's shared tier detection: F for
-    /// masked 64-bit add/compare, DQ for the `vpmovm2q` mask-to-vector
-    /// expansion.
-    pub(super) fn available() -> bool {
-        crate::isa::Tier::detected().is_avx512()
-    }
-
     /// AVX-512 body of [`super::apply_row`]: per neighbour `j` and lane
-    /// word, eight masked 8×i64 `±w` adds. Callers must have verified
-    /// [`available`] — hence the `unsafe fn`.
+    /// word, eight masked 8×i64 `±w` adds. Callers must have detected the
+    /// AVX-512 tier ([`super::Tier::is_avx512`]: F for the masked 64-bit
+    /// add, DQ for the `vpmovm2q` mask-to-vector expansion) — hence the
+    /// `unsafe fn`.
     #[target_feature(enable = "avx512f,avx512dq")]
     pub(super) unsafe fn apply_row(
         x: &[u64],
@@ -164,38 +160,14 @@ mod simd {
             }
         }
     }
-
-    /// AVX-512 body of [`super::BatchState::accept_mask_le`]: build one
-    /// 64-lane accept word from eight `vpcmpleq` mask compares. `d` and
-    /// `thresholds` hold 64 gains/thresholds per output word. Callers must
-    /// have verified [`available`].
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn accept_mask_le(d: &[i64], thresholds: &[i64], out: &mut [u64]) {
-        for (wi, o) in out.iter_mut().enumerate() {
-            let base = wi << 6;
-            let mut m = 0u64;
-            for c in 0..8 {
-                let off = base + c * 8;
-                // SAFETY: the caller passes 64 gains and thresholds per
-                // output word, so `off + 8 ≤ 64·out.len()` keeps both
-                // unaligned 8×i64 loads in bounds.
-                let (dv, tv) = unsafe {
-                    (
-                        _mm512_loadu_epi64(d.as_ptr().add(off)),
-                        _mm512_loadu_epi64(thresholds.as_ptr().add(off)),
-                    )
-                };
-                m |= (_mm512_cmple_epi64_mask(dv, tv) as u64) << (c * 8);
-            }
-            *o = m;
-        }
-    }
 }
 
 /// Walk one weight row: for every neighbour `j` with weight `w`, update the
 /// accepted lanes of `delta[j·lanes..]` on the pre-flip bit-sliced `x`.
-/// Dispatches to the AVX-512 loop when the CPU has it; the portable
-/// accept-list path ([`apply_row_portable`]) is the fallback and the
+/// Each tier runs the loop that measured fastest on it: the hand-written
+/// AVX-512 loop, which skips empty 8-lane chunks; the AVX2 clone of the
+/// branch-free walk ([`apply_row_branchless_body`]); and elsewhere the
+/// portable accept-list walk ([`apply_row_portable`]), which is also the
 /// behavioural reference.
 #[inline(always)]
 fn apply_row(
@@ -206,19 +178,63 @@ fn apply_row(
     delta: &mut [i64],
     row: impl Iterator<Item = (usize, i64)>,
 ) {
+    let tier = Tier::detected();
     #[cfg(target_arch = "x86_64")]
-    if simd::available() {
-        // SAFETY: `simd::available()` just confirmed AVX-512F/DQ at runtime.
+    if tier.is_avx512() {
+        // SAFETY: the detected tier is AVX-512, so AVX-512F/DQ are present.
         #[allow(unsafe_code)]
         unsafe {
             simd::apply_row(x, wpv, xi, accept, delta, row)
         };
         return;
     }
+    if tier.is_avx2() {
+        isa::bulk_row_branchless(tier, x, wpv, xi, accept, delta, row);
+        return;
+    }
     apply_row_portable(x, wpv, xi, accept, delta, row);
 }
 
-/// The accept-list row walk every CPU without AVX-512 runs.
+/// The branch-free row walk: in every lane word with an accepted lane, all
+/// 64 gains are rewritten, each kept or moved by `±w` by its accept and sign
+/// bits, so the lane loop has no data-dependent branch and vectorizes. It
+/// beats the accept-list walk only as an AVX2 clone ([`isa::bulk_row_branchless`]):
+/// as the portable body it ran at less than half the accept-list walk's
+/// speed, and as an AVX-512 clone it lost to the hand-written loop.
+#[inline(always)]
+pub(crate) fn apply_row_branchless_body(
+    x: &[u64],
+    wpv: usize,
+    xi: &[u64],
+    accept: &[u64],
+    delta: &mut [i64],
+    row: impl Iterator<Item = (usize, i64)>,
+) {
+    let lanes = wpv << 6;
+    for (j, w) in row {
+        let xj = &x[j * wpv..(j + 1) * wpv];
+        let dj = &mut delta[j * lanes..(j + 1) * lanes];
+        for wi in 0..wpv {
+            let acc = accept[wi];
+            if acc == 0 {
+                continue;
+            }
+            // Lanes where x_i == x_j get +w (σ_iσ_j = +1), others −w.
+            let sgn = xi[wi] ^ xj[wi];
+            let dst: &mut [i64; 64] = (&mut dj[wi << 6..(wi << 6) + 64]).try_into().unwrap();
+            for (b, d) in dst.iter_mut().enumerate() {
+                let bit = 1u64 << b;
+                *d = if acc & bit != 0 {
+                    *d + if sgn & bit != 0 { -w } else { w }
+                } else {
+                    *d
+                };
+            }
+        }
+    }
+}
+
+/// The accept-list row walk every CPU without AVX2 runs.
 #[inline(always)]
 fn apply_row_portable(
     x: &[u64],
@@ -262,15 +278,18 @@ impl BatchKernel for DenseKernel<'_> {
         let xi = &x[i * wpv..(i + 1) * wpv];
         // The diagonal lane is stored as zero, so j == i contributes
         // nothing — same invariant the scalar dense kernel leans on.
-        let row = (0..n).map(move |j| (j, row[j])).filter(|&(_, w)| w != 0);
+        let row = (0..n)
+            .filter(move |&j| row[j] != 0)
+            .map(move |j| (j, i64::from(row[j])));
         apply_row(x, wpv, xi, accept, delta, row);
     }
 }
 
-/// The mask loop of [`BatchState::accept_mask_le`] every CPU without
-/// AVX-512 runs: bit `b` of word `wi` is `d[64·wi + b] ≤ thresholds[64·wi + b]`.
+/// The mask loop of [`BatchState::accept_mask_le`], which every tier runs
+/// as its clone ([`isa::bulk_accept_mask`]): bit `b` of word `wi` is
+/// `d[64·wi + b] ≤ thresholds[64·wi + b]`.
 #[inline(always)]
-fn accept_mask_le_portable(d: &[i64], thresholds: &[i64], out: &mut [u64]) {
+pub(crate) fn accept_mask_le_body(d: &[i64], thresholds: &[i64], out: &mut [u64]) {
     for (wi, o) in out.iter_mut().enumerate() {
         let base = wi << 6;
         let mut m = 0u64;
@@ -384,18 +403,7 @@ impl<K: BatchKernel> BatchState<K> {
     pub fn accept_mask_le(&self, i: usize, thresholds: &[i64], out: &mut [u64]) {
         debug_assert_eq!(thresholds.len(), self.lanes);
         debug_assert_eq!(out.len(), self.wpv);
-        let d = self.deltas_of(i);
-        #[cfg(target_arch = "x86_64")]
-        if simd::available() {
-            // SAFETY: `simd::available()` just confirmed AVX-512F/DQ at
-            // runtime; `d` and `thresholds` hold 64 entries per out word.
-            #[allow(unsafe_code)]
-            unsafe {
-                simd::accept_mask_le(d, thresholds, out)
-            };
-            return;
-        }
-        accept_mask_le_portable(d, thresholds, out);
+        isa::bulk_accept_mask(Tier::detected(), self.deltas_of(i), thresholds, out);
     }
 
     /// Predicated lockstep flip of variable `i` on the lanes in `accept`:
@@ -649,25 +657,32 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum RowWalk {
         Portable,
+        /// The AVX2 clones of the branch-free walk and of the mask loop, as
+        /// an AVX2 CPU runs them.
+        Avx2(Tier),
         #[cfg(target_arch = "x86_64")]
         Avx512,
     }
 
     #[allow(unsafe_code)]
     impl RowWalk {
-        /// Every path this CPU runs. Prints which ran and notes a path the
-        /// CPU lacks (run with `--nocapture` to see it).
+        /// Every path this CPU runs: an AVX-512 CPU runs the AVX2 clone
+        /// too. Prints which ran and notes each path the CPU lacks (run
+        /// with `--nocapture` to see it).
         fn available(test: &str) -> Vec<RowWalk> {
-            #[allow(unused_mut)]
             let mut paths = vec![RowWalk::Portable];
+            match Tier::available().into_iter().find(|t| t.is_avx2()) {
+                Some(tier) => paths.push(RowWalk::Avx2(tier)),
+                None => println!("{test}: CPU lacks avx2; its walk is skipped"),
+            }
             #[cfg(target_arch = "x86_64")]
-            if simd::available() {
+            if Tier::detected().is_avx512() {
                 paths.push(RowWalk::Avx512);
             }
-            println!("{test}: row walks run: {paths:?}");
-            if paths.len() == 1 {
+            if Tier::detected().name() != "avx512" {
                 println!("{test}: CPU lacks avx512; its loops are skipped");
             }
+            println!("{test}: row walks run: {paths:?}");
             paths
         }
 
@@ -684,21 +699,24 @@ mod tests {
             let row = row.iter().copied();
             match self {
                 RowWalk::Portable => apply_row_portable(x, wpv, xi, accept, delta, row),
+                RowWalk::Avx2(tier) => {
+                    isa::bulk_row_branchless(tier, x, wpv, xi, accept, delta, row)
+                }
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: `available` lists this path only when
-                // `simd::available()` confirmed AVX-512F/DQ.
+                // SAFETY: `available` lists this path only when the
+                // detected tier is AVX-512, so AVX-512F/DQ are present.
                 RowWalk::Avx512 => unsafe { simd::apply_row(x, wpv, xi, accept, delta, row) },
             }
         }
 
         fn accept_mask_le(self, d: &[i64], thresholds: &[i64], out: &mut [u64]) {
-            match self {
-                RowWalk::Portable => accept_mask_le_portable(d, thresholds, out),
+            let tier = match self {
+                RowWalk::Portable => Tier::PORTABLE,
+                RowWalk::Avx2(tier) => tier,
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: as in `apply_row`; `d` and `thresholds` hold 64
-                // entries per out word.
-                RowWalk::Avx512 => unsafe { simd::accept_mask_le(d, thresholds, out) },
-            }
+                RowWalk::Avx512 => Tier::detected(),
+            };
+            isa::bulk_accept_mask(tier, d, thresholds, out);
         }
     }
 
@@ -730,12 +748,12 @@ mod tests {
         masks
     }
 
-    /// Both bulk row walks and both mask loops, on every path this CPU runs,
-    /// against a naive per-lane update at the grid's word-boundary sizes and
-    /// every lane width. `cross_lane_parity_grid` reaches only the path
-    /// `simd::available()` picks, so without this an AVX-512 host never
-    /// runs the portable loops and any other host never runs the AVX-512
-    /// ones.
+    /// The three bulk row walks and the mask loop's clones, on every path
+    /// this CPU runs, against a naive per-lane update at the grid's
+    /// word-boundary sizes and every lane width. `cross_lane_parity_grid`
+    /// reaches only the path the detected tier picks, so without this an
+    /// AVX-512 host never runs the portable and AVX2 loops and any other
+    /// host never runs the AVX-512 ones.
     #[test]
     fn tier_parity_bulk_row_walks() {
         let paths = RowWalk::available("tier_parity_bulk_row_walks");

@@ -3,7 +3,9 @@
 //! Problem reductions (MaxCut, QAP one-hot penalties, …) produce a stream of
 //! quadratic and linear terms, often hitting the same variable pair many
 //! times. [`QuboBuilder`] accumulates terms and assembles the final
-//! [`QuboModel`] in one pass.
+//! [`QuboModel`] in one pass. Accumulation is checked: a coefficient that
+//! leaves `i64`, or a model beyond [`crate::COEFFICIENT_SUM_BOUND`], makes
+//! [`QuboBuilder::build`] return [`ModelError::CoefficientRange`].
 
 use crate::{KernelChoice, ModelError, QuboModel};
 
@@ -14,6 +16,8 @@ pub struct QuboBuilder {
     diag: Vec<i64>,
     edges: Vec<(usize, usize, i64)>,
     kernel: KernelChoice,
+    /// A term or a diagonal sum left `i64`; [`Self::build`] refuses.
+    overflow: bool,
 }
 
 impl QuboBuilder {
@@ -25,6 +29,7 @@ impl QuboBuilder {
             diag: vec![0; n],
             edges: Vec::new(),
             kernel: KernelChoice::Auto,
+            overflow: false,
         }
     }
 
@@ -43,7 +48,7 @@ impl QuboBuilder {
     /// Add `w · x_i` (accumulates onto `W_ii`).
     pub fn add_linear(&mut self, i: usize, w: i64) -> &mut Self {
         assert!(i < self.n, "variable {i} out of range (n = {})", self.n);
-        self.diag[i] += w;
+        self.add_diag(i, Some(w));
         self
     }
 
@@ -52,7 +57,7 @@ impl QuboBuilder {
     pub fn add_quadratic(&mut self, i: usize, j: usize, w: i64) -> &mut Self {
         assert!(i < self.n && j < self.n, "pair ({i},{j}) out of range");
         if i == j {
-            self.diag[i] += w;
+            self.add_diag(i, Some(w));
         } else {
             self.edges.push((i.min(j), i.max(j), w));
         }
@@ -63,14 +68,32 @@ impl QuboBuilder {
     /// `w·(2 x_i x_j − x_i − x_j)`, which contributes `−w` exactly when the
     /// edge is cut (paper §II-A).
     pub fn add_maxcut_edge(&mut self, i: usize, j: usize, w: i64) -> &mut Self {
-        self.add_quadratic(i, j, 2 * w);
-        self.add_linear(i, -w);
-        self.add_linear(j, -w);
+        assert!(i < self.n && j < self.n, "pair ({i},{j}) out of range");
+        match w.checked_mul(2) {
+            Some(w2) => {
+                self.add_quadratic(i, j, w2);
+            }
+            None => self.overflow = true,
+        }
+        self.add_diag(i, w.checked_neg());
+        self.add_diag(j, w.checked_neg());
         self
+    }
+
+    /// `W_ii += w`, or mark the model refused when `w` (`None`: a term
+    /// that did not fit) or the sum leaves `i64`.
+    fn add_diag(&mut self, i: usize, w: Option<i64>) {
+        match w.and_then(|w| self.diag[i].checked_add(w)) {
+            Some(sum) => self.diag[i] = sum,
+            None => self.overflow = true,
+        }
     }
 
     /// Assemble the final model, merging duplicate pairs.
     pub fn build(self) -> Result<QuboModel, ModelError> {
+        if self.overflow {
+            return Err(ModelError::CoefficientRange);
+        }
         QuboModel::new_with_kernel(self.n, &self.edges, self.diag, self.kernel)
     }
 }
@@ -111,6 +134,45 @@ mod tests {
         assert_eq!(q.energy(&Solution::from_bitstring("100")), -2);
         assert_eq!(q.energy(&Solution::from_bitstring("110")), -2);
         assert_eq!(q.energy(&Solution::from_bitstring("111")), 0);
+    }
+
+    #[test]
+    fn builds_at_the_coefficient_bound_and_refuses_past_it() {
+        let b = crate::COEFFICIENT_SUM_BOUND;
+        let at = |extra: i64| {
+            let mut q = QuboBuilder::new(3);
+            q.add_linear(0, b / 2).add_linear(0, b / 4);
+            q.add_quadratic(1, 2, -(b - b / 2 - b / 4 - 1));
+            q.add_quadratic(2, 2, 1 + extra);
+            q.build()
+        };
+        let q = at(0).unwrap();
+        assert_eq!(q.coefficient_mass(), b);
+        let all = Solution::from_bitstring("111");
+        assert_eq!(q.energy(&all), b / 2 + b / 4 - (b - b / 2 - b / 4 - 1) + 1);
+        assert_eq!(at(1).unwrap_err(), ModelError::CoefficientRange);
+        // The three-term document that used to wrap: 3M with M = 2^62 − 1.
+        let m = i64::MAX / 2;
+        let mut q = QuboBuilder::new(2);
+        q.add_linear(0, m).add_linear(1, m).add_quadratic(0, 1, m);
+        assert_eq!(q.build().unwrap_err(), ModelError::CoefficientRange);
+    }
+
+    #[test]
+    fn accumulation_beyond_i64_is_refused() {
+        let mut q = QuboBuilder::new(2);
+        q.add_linear(0, i64::MAX).add_quadratic(0, 0, 1);
+        assert_eq!(q.build().unwrap_err(), ModelError::CoefficientRange);
+        let mut q = QuboBuilder::new(2);
+        q.add_quadratic(0, 1, i64::MAX)
+            .add_quadratic(1, 0, i64::MAX);
+        assert_eq!(q.build().unwrap_err(), ModelError::CoefficientRange);
+        let mut q = QuboBuilder::new(2);
+        q.add_maxcut_edge(0, 1, i64::MAX / 2 + 1);
+        assert_eq!(q.build().unwrap_err(), ModelError::CoefficientRange);
+        let mut q = QuboBuilder::new(2);
+        q.add_maxcut_edge(0, 1, i64::MIN);
+        assert_eq!(q.build().unwrap_err(), ModelError::CoefficientRange);
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub struct SymmetricCsr {
 
 impl SymmetricCsr {
     /// Build from an undirected edge list. Duplicate `(i, j)` entries (in
-    /// either orientation) are accumulated. Self-loops are rejected.
+    /// either orientation) are accumulated; a sum beyond `i64` is
+    /// [`ModelError::CoefficientRange`]. Self-loops are rejected.
     pub fn from_edges(n: usize, edges: &[(usize, usize, i64)]) -> Result<Self, ModelError> {
         if n == 0 {
             return Err(ModelError::Empty);
@@ -71,12 +72,12 @@ impl SymmetricCsr {
             cols,
             vals,
         };
-        csr.sort_and_merge_rows();
+        csr.sort_and_merge_rows()?;
         Ok(csr)
     }
 
     /// Sort each row by column and merge duplicate columns by summing.
-    fn sort_and_merge_rows(&mut self) {
+    fn sort_and_merge_rows(&mut self) -> Result<(), ModelError> {
         let mut new_offsets = vec![0u32; self.n + 1];
         let mut new_cols = Vec::with_capacity(self.cols.len());
         let mut new_vals = Vec::with_capacity(self.vals.len());
@@ -94,11 +95,14 @@ impl SymmetricCsr {
             let mut k = 0;
             while k < row.len() {
                 let col = row[k].0;
-                let mut sum = 0i64;
+                // Summed exactly, so the verdict does not depend on the
+                // order the unstable sort left the duplicates in.
+                let mut sum = 0i128;
                 while k < row.len() && row[k].0 == col {
-                    sum += row[k].1;
+                    sum += i128::from(row[k].1);
                     k += 1;
                 }
+                let sum = i64::try_from(sum).map_err(|_| ModelError::CoefficientRange)?;
                 if sum != 0 {
                     new_cols.push(col);
                     new_vals.push(sum);
@@ -109,6 +113,7 @@ impl SymmetricCsr {
         self.offsets = new_offsets;
         self.cols = new_cols;
         self.vals = new_vals;
+        Ok(())
     }
 
     /// Number of nodes.
@@ -224,6 +229,17 @@ mod tests {
         assert_eq!(m.weight(0, 1), 0);
         assert_eq!(m.edge_count(), 0);
         assert_eq!(m.degree(0), 0);
+    }
+
+    #[test]
+    fn duplicate_sums_beyond_i64_are_refused() {
+        let edges = [(0, 1, i64::MAX), (1, 0, 1)];
+        assert_eq!(
+            SymmetricCsr::from_edges(2, &edges),
+            Err(ModelError::CoefficientRange)
+        );
+        let m = SymmetricCsr::from_edges(2, &[(0, 1, i64::MAX), (1, 0, -1)]).unwrap();
+        assert_eq!(m.weight(0, 1), i64::MAX - 1);
     }
 
     #[test]

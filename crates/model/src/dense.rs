@@ -16,6 +16,14 @@
 //! zero too, so whole-strip arithmetic never needs a tail mask for the
 //! weights — only the delta vector, whose length is exactly `n`, bounds the
 //! final partial strip.
+//!
+//! Weights are stored as `i32`, half the bytes of the `i64` arithmetic they
+//! feed: a flip streams one whole row, so the weight width sets the dense
+//! kernel's memory traffic (a K2000 n = 800 matrix is 2.7 MB, not 5.3 MB).
+//! Every reader widens a lane to `i64` before it negates or adds it, so
+//! energies, gains and trajectories are exactly those of the CSR kernel. A
+//! model with an off-diagonal weight beyond `i32` never selects the dense
+//! kernel ([`crate::QuboModel::select_kernel`]).
 
 use crate::SymmetricCsr;
 
@@ -27,22 +35,23 @@ pub struct DenseStrips {
     stride: usize,
     /// `n * stride` weights; `w[i * stride + j] = W_ij`, diagonal and
     /// padding lanes zero.
-    w: Vec<i64>,
+    w: Vec<i32>,
 }
 
 impl DenseStrips {
-    /// Materialize the mirrored CSR adjacency as padded dense rows.
-    pub fn from_csr(adj: &SymmetricCsr) -> Self {
+    /// Materialize the mirrored CSR adjacency as padded dense rows, or
+    /// `None` when a weight does not fit `i32`.
+    pub fn from_csr(adj: &SymmetricCsr) -> Option<Self> {
         let n = adj.n();
         let stride = n.div_ceil(64) * 64;
-        let mut w = vec![0i64; n * stride];
+        let mut w = vec![0i32; n * stride];
         for i in 0..n {
             let row = &mut w[i * stride..(i + 1) * stride];
             for (j, weight) in adj.neighbors(i) {
-                row[j] = weight;
+                row[j] = i32::try_from(weight).ok()?;
             }
         }
-        Self { n, stride, w }
+        Some(Self { n, stride, w })
     }
 
     /// Number of variables (unpadded logical columns).
@@ -59,18 +68,18 @@ impl DenseStrips {
 
     /// Heap footprint of the weight matrix in bytes.
     pub fn bytes(&self) -> usize {
-        self.w.len() * std::mem::size_of::<i64>()
+        self.w.len() * std::mem::size_of::<i32>()
     }
 
     /// What [`Self::bytes`] will be for an `n`-variable matrix, without
     /// materializing it.
     pub fn bytes_for(n: usize) -> usize {
-        n * n.div_ceil(64) * 64 * std::mem::size_of::<i64>()
+        n * n.div_ceil(64) * 64 * std::mem::size_of::<i32>()
     }
 
     /// Full padded row `i` (length [`Self::stride`]).
     #[inline]
-    pub fn row(&self, i: usize) -> &[i64] {
+    pub fn row(&self, i: usize) -> &[i32] {
         &self.w[i * self.stride..(i + 1) * self.stride]
     }
 }
@@ -82,7 +91,7 @@ mod tests {
     #[test]
     fn rows_mirror_csr_and_pad_with_zeros() {
         let adj = SymmetricCsr::from_edges(5, &[(0, 1, 7), (1, 4, -3), (2, 3, 2)]).unwrap();
-        let d = DenseStrips::from_csr(&adj);
+        let d = DenseStrips::from_csr(&adj).unwrap();
         assert_eq!(d.n(), 5);
         assert_eq!(d.stride(), 64);
         assert_eq!(d.row(0)[1], 7);
@@ -101,7 +110,7 @@ mod tests {
         for (n, expect) in [(1, 64), (64, 64), (65, 128), (130, 192)] {
             let edges = [(0usize, n.max(2) - 1, 1i64)];
             let adj = SymmetricCsr::from_edges(n.max(2), &edges).unwrap();
-            let d = DenseStrips::from_csr(&adj);
+            let d = DenseStrips::from_csr(&adj).unwrap();
             if n >= 2 {
                 assert_eq!(d.stride(), expect, "n = {n}");
             }
@@ -111,9 +120,26 @@ mod tests {
     #[test]
     fn bytes_accounts_padded_rows() {
         let adj = SymmetricCsr::from_edges(3, &[(0, 1, 1)]).unwrap();
-        let d = DenseStrips::from_csr(&adj);
-        assert_eq!(d.bytes(), 3 * 64 * 8);
+        let d = DenseStrips::from_csr(&adj).unwrap();
+        assert_eq!(d.bytes(), 3 * 64 * 4);
         assert_eq!(DenseStrips::bytes_for(3), d.bytes());
-        assert_eq!(DenseStrips::bytes_for(65), 65 * 128 * 8);
+        assert_eq!(DenseStrips::bytes_for(65), 65 * 128 * 4);
+    }
+
+    #[test]
+    fn weights_beyond_i32_have_no_strips() {
+        for (w, fits) in [
+            (i64::from(i32::MIN), true),
+            (i64::from(i32::MAX), true),
+            (i64::from(i32::MIN) - 1, false),
+            (i64::from(i32::MAX) + 1, false),
+        ] {
+            let adj = SymmetricCsr::from_edges(2, &[(0, 1, w)]).unwrap();
+            let d = DenseStrips::from_csr(&adj);
+            assert_eq!(d.is_some(), fits, "w = {w}");
+            if let Some(d) = d {
+                assert_eq!(i64::from(d.row(1)[0]), w);
+            }
+        }
     }
 }

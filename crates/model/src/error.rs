@@ -14,6 +14,10 @@ pub enum ModelError {
     SizeMismatch { expected: usize, actual: usize },
     /// The model has no variables.
     Empty,
+    /// A coefficient sum overflows `i64`, or the model's coefficient mass
+    /// exceeds [`crate::COEFFICIENT_SUM_BOUND`], so its energies would not
+    /// all fit `i64`.
+    CoefficientRange,
 }
 
 impl fmt::Display for ModelError {
@@ -29,6 +33,12 @@ impl fmt::Display for ModelError {
                 write!(f, "size mismatch: expected {expected} bits, got {actual}")
             }
             ModelError::Empty => write!(f, "model must have at least one variable"),
+            ModelError::CoefficientRange => write!(
+                f,
+                "coefficients out of range: Σ|W_ii| + Σ_{{i<j}}|W_ij| must be at most {} \
+                 (2^62 − 1) so every energy fits i64",
+                crate::COEFFICIENT_SUM_BOUND
+            ),
         }
     }
 }
@@ -52,5 +62,7 @@ mod tests {
         };
         assert!(e.to_string().contains("10"));
         assert!(ModelError::Empty.to_string().contains("at least one"));
+        let e = ModelError::CoefficientRange.to_string();
+        assert!(e.contains("out of range") && e.contains("4611686018427387903"));
     }
 }

@@ -16,7 +16,7 @@
 //! assert_eq!(q, back);
 //! ```
 
-use crate::QuboModel;
+use crate::{QuboBuilder, QuboModel};
 use std::fmt::Write as _;
 
 /// Parse failure description.
@@ -58,8 +58,7 @@ pub fn write_qubo(model: &QuboModel) -> String {
 /// same format).
 pub fn parse_qubo(text: &str) -> Result<QuboModel, ParseError> {
     let (n, terms) = parse_body(text)?;
-    let mut diag = vec![0i64; n];
-    let mut edges = Vec::new();
+    let mut b = QuboBuilder::new(n);
     for (line, (i, j, w)) in terms {
         if i >= n || j >= n {
             return Err(ParseError {
@@ -67,13 +66,9 @@ pub fn parse_qubo(text: &str) -> Result<QuboModel, ParseError> {
                 message: format!("index out of range: {i} {j} (n = {n})"),
             });
         }
-        if i == j {
-            diag[i] += w;
-        } else {
-            edges.push((i, j, w));
-        }
+        b.add_quadratic(i, j, w);
     }
-    QuboModel::new(n, &edges, diag).map_err(|e| ParseError {
+    b.build().map_err(|e| ParseError {
         line: 0,
         message: e.to_string(),
     })
@@ -168,7 +163,7 @@ fn parse_body(text: &str) -> Result<(usize, Vec<(usize, (usize, usize, i64))>), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{QuboBuilder, Solution};
+    use crate::Solution;
     use dabs_rng::{Rng64, Xorshift64Star};
 
     #[test]
@@ -262,6 +257,19 @@ mod tests {
 
         let e = parse_qubo("p ising 3 0 0\n").unwrap_err();
         assert!(e.message.contains("expected 'p qubo"));
+    }
+
+    #[test]
+    fn coefficients_beyond_the_bound_are_refused() {
+        // M = 2^62 − 1 on both diagonals and the pair: all-ones has energy
+        // 3M, which no i64 holds.
+        let m = i64::MAX / 2;
+        let text = format!("p qubo 0 2 2 1\n0 0 {m}\n1 1 {m}\n0 1 {m}\n");
+        let e = parse_qubo(&text).unwrap_err();
+        assert!(e.message.contains("out of range"), "{e}");
+        // Duplicate diagonal terms whose sum leaves i64.
+        let text = format!("p qubo 0 1 2 0\n0 0 {}\n0 0 1\n", i64::MAX);
+        assert!(parse_qubo(&text).is_err());
     }
 
     #[test]

@@ -5,13 +5,17 @@
 //! re-reductions, and the two selection folds (the per-segment
 //! `Δ ≤ bound` candidate masks behind `select_le`, and the smallest
 //! positive gain). The sixth is RandomMin's gap pass, 32 geometric gaps
-//! per call in float lanes ([`GeometricGaps`]). The baseline `x86_64`
-//! target is SSE2, which has no 64-bit compare, min, per-lane variable
-//! shift or `i64` conversion, so they compile to scalar code there. This
-//! module compiles each loop's one portable body (an `#[inline(always)]`
-//! function) again as `#[target_feature]` clones for AVX2 and AVX-512 and
-//! runs the clone of a tier detected once per process, in the order
-//! AVX-512 > AVX2 > portable.
+//! per call in float lanes ([`GeometricGaps`]). Two loops of the bulk
+//! kernel run here too: its accept-mask loop, and its branch-free row walk
+//! only as the AVX2 clone. The AVX-512 tier walks bulk rows with a
+//! hand-written loop and the portable tier with an accept-list loop
+//! (`batch_kernel::apply_row`). The baseline
+//! `x86_64` target is SSE2, which has no 64-bit compare, min, per-lane
+//! variable shift or `i64` conversion, so they compile to scalar code
+//! there. This module compiles each loop's one portable body (an
+//! `#[inline(always)]` function) again as `#[target_feature]` clones for
+//! AVX2 and AVX-512 and runs the clone of a tier detected once per
+//! process, in the order AVX-512 > AVX2 > portable.
 //!
 //! Every clone is the same source, so every tier computes bit-identical
 //! results and only the codegen differs. For the integer loops that is
@@ -71,6 +75,12 @@ impl Tier {
     #[cfg(target_arch = "x86_64")]
     pub(crate) fn is_avx512(self) -> bool {
         self.0 == Level::Avx512
+    }
+
+    /// True for the AVX2 tier, where the bulk kernel walks its rows with
+    /// the AVX2 clone of the branch-free walk.
+    pub(crate) fn is_avx2(self) -> bool {
+        self.0 == Level::Avx2
     }
 
     /// `avx512`, `avx2` or `portable`.
@@ -141,8 +151,29 @@ macro_rules! tiered {
 
 tiered! {
     /// The dense kernel's strip update (`DenseKernel::apply_flip`).
-    fn dense_update(row: &[i64], words: &[u64], flip_mask: u64, delta: &mut [i64])
+    fn dense_update(row: &[i32], words: &[u64], flip_mask: u64, delta: &mut [i64])
         = crate::kernel::dense_update_body;
+}
+
+// The bulk kernel runs only the AVX2 clone of this walk (see
+// `batch_kernel::apply_row`).
+tiered! {
+    /// The bulk kernel's branch-free row walk
+    /// (`batch_kernel::apply_row_branchless_body`).
+    fn bulk_row_branchless(
+        x: &[u64],
+        wpv: usize,
+        xi: &[u64],
+        accept: &[u64],
+        delta: &mut [i64],
+        row: impl Iterator<Item = (usize, i64)>,
+    ) = crate::batch_kernel::apply_row_branchless_body;
+}
+
+tiered! {
+    /// The bulk kernel's accept-mask loop (`BatchState::accept_mask_le`).
+    fn bulk_accept_mask(d: &[i64], thresholds: &[i64], out: &mut [u64])
+        = crate::batch_kernel::accept_mask_le_body;
 }
 
 tiered! {
@@ -225,8 +256,14 @@ mod tests {
         let mut rng = Xorshift64Star::new(0x5eed);
         for n in SIZES {
             let words_len = n.div_ceil(SEG_WIDTH);
-            let row: Vec<i64> = (0..words_len * SEG_WIDTH)
-                .map(|_| rng.next_range_i64(-(1 << 20), 1 << 20))
+            // Random weights, with the extremes of the 32-bit lanes spread
+            // over every lane position: `i32::MIN` must negate exactly.
+            let row: Vec<i32> = (0..words_len * SEG_WIDTH)
+                .map(|j| match j % 7 {
+                    0 => i32::MIN,
+                    3 => i32::MAX,
+                    _ => rng.next_range_i64(-(1 << 20), 1 << 20) as i32,
+                })
                 .collect();
             let words: Vec<u64> = (0..words_len).map(|_| rng.next_u64()).collect();
             let delta: Vec<i64> = (0..n)
@@ -237,7 +274,8 @@ mod tests {
                 dense_update(Tier::PORTABLE, &row, &words, flip_mask, &mut want);
                 for (j, (&w, &d)) in want.iter().zip(&delta).enumerate() {
                     let neg = ((words[j >> 6] ^ flip_mask) >> (j & 63)) & 1 == 1;
-                    assert_eq!(w, d + if neg { -row[j] } else { row[j] }, "n={n} j={j}");
+                    let wj = i64::from(row[j]);
+                    assert_eq!(w, d + if neg { -wj } else { wj }, "n={n} j={j}");
                 }
                 for &tier in &tiers {
                     let mut got = delta.clone();

@@ -17,10 +17,12 @@
 //! [`QuboModel`] auto-selects a backend at build time from the instance
 //! density ([`DENSE_DENSITY_THRESHOLD`], bounded by [`DENSE_AUTO_MAX_N`]);
 //! [`KernelChoice`] overrides it from `QuboBuilder::kernel`, the server's
-//! `ProblemSpec`, or the CLI's `--kernel` flag. Both kernels compute
-//! *identical* `i64` energies and deltas — the cross-backend parity suite
-//! (`tests/props_model.rs`, `tests/solver_parity.rs`) holds them to
-//! bit-identical trajectories.
+//! `ProblemSpec`, or the CLI's `--kernel` flag. The dense strips store each
+//! weight in 32 bits, so only a model whose off-diagonal weights all fit
+//! `i32` can run the dense kernel; both kernels do their arithmetic in
+//! `i64` and compute *identical* energies and deltas — the cross-backend
+//! parity suite (`tests/props_model.rs`, `tests/solver_parity.rs`) holds
+//! them to bit-identical trajectories.
 
 use crate::isa::{self, Tier};
 use crate::segments::SegmentAggregates;
@@ -31,7 +33,7 @@ use crate::{DenseStrips, QuboModel, Solution, SymmetricCsr};
 pub const DENSE_DENSITY_THRESHOLD: f64 = 0.25;
 
 /// Auto-selection size ceiling: beyond this the dense matrix
-/// (`n² × 8` bytes, ≈ 134 MiB at 4096) is only built on explicit request.
+/// (`n² × 4` bytes, 64 MiB at 4096) is only built on explicit request.
 pub const DENSE_AUTO_MAX_N: usize = 4096;
 
 /// Caller-facing backend selection.
@@ -42,8 +44,10 @@ pub enum KernelChoice {
     Auto,
     /// Force the CSR sparse kernel.
     Csr,
-    /// Force the dense bit-packed kernel. Costs `n² × 8` bytes of weights —
-    /// callers going far beyond n ≈ [`DENSE_AUTO_MAX_N`] should know why.
+    /// Force the dense bit-packed kernel. Costs `n² × 4` bytes of weights —
+    /// callers going far beyond n ≈ [`DENSE_AUTO_MAX_N`] should know why. A
+    /// model with an off-diagonal weight beyond `i32` keeps the CSR kernel
+    /// (see [`QuboModel::select_kernel`]), with the same results.
     Dense,
 }
 
@@ -291,10 +295,11 @@ impl<'m> DenseKernel<'m> {
 }
 
 /// The dense strip update: `delta[j] += ±row[j]` for every `j < delta.len()`,
-/// negated where bit `j` of `words ^ flip_mask` is set. One portable body
-/// that [`isa::dense_update`] compiles once per instruction-set tier.
+/// negated where bit `j` of `words ^ flip_mask` is set. Each `i32` weight is
+/// widened before the negation, so `i32::MIN` negates exactly. One portable
+/// body that [`isa::dense_update`] compiles once per instruction-set tier.
 #[inline(always)]
-pub(crate) fn dense_update_body(row: &[i64], words: &[u64], flip_mask: u64, delta: &mut [i64]) {
+pub(crate) fn dense_update_body(row: &[i32], words: &[u64], flip_mask: u64, delta: &mut [i64]) {
     let n = delta.len();
     let full = n >> 6;
     for (wi, &word) in words.iter().enumerate().take(full) {
@@ -304,7 +309,7 @@ pub(crate) fn dense_update_body(row: &[i64], words: &[u64], flip_mask: u64, delt
         let dst = &mut delta[base..base + 64];
         for b in 0..64 {
             let neg = (((m >> b) & 1) as i64).wrapping_neg();
-            dst[b] += sign_select(strip[b], neg);
+            dst[b] += sign_select(i64::from(strip[b]), neg);
         }
     }
     let rem = n & 63;
@@ -313,7 +318,7 @@ pub(crate) fn dense_update_body(row: &[i64], words: &[u64], flip_mask: u64, delt
         let base = full << 6;
         for b in 0..rem {
             let neg = (((m >> b) & 1) as i64).wrapping_neg();
-            delta[base + b] += sign_select(row[base + b], neg);
+            delta[base + b] += sign_select(i64::from(row[base + b]), neg);
         }
     }
 }
@@ -350,7 +355,7 @@ impl QuboKernel for DenseKernel<'_> {
                 let mut bits = word;
                 while bits != 0 {
                     let b = bits.trailing_zeros() as usize;
-                    quad_twice += row[(wi << 6) | b];
+                    quad_twice += i64::from(row[(wi << 6) | b]);
                     bits &= bits - 1;
                 }
             }
@@ -368,7 +373,7 @@ impl QuboKernel for DenseKernel<'_> {
                 let mut bits = word;
                 while bits != 0 {
                     let b = bits.trailing_zeros() as usize;
-                    s += row[(wi << 6) | b];
+                    s += i64::from(row[(wi << 6) | b]);
                     bits &= bits - 1;
                 }
             }
@@ -405,12 +410,12 @@ impl QuboKernel for DenseKernel<'_> {
     // flip — the extra compares break the tight sign-select/add pipeline —
     // which taxed every dense flip (including selection-free consumers
     // like SA and the kernel throughput sweep) and tripped the
-    // `kernel_sweep` dense ≥ 2× CSR contract. That was measured with
-    // baseline (SSE2) codegen, before the update and the refresh got their
-    // AVX2/AVX-512 clones; it has not been re-measured since. Marking
-    // everything and letting the first selection query run one branchless
-    // `O(n)` refresh keeps the flip at full speed and still replaces the
-    // strategies' two branchy scans with aggregate reductions.
+    // `kernel_sweep` dense ≥ 2× CSR contract. That figure predates both
+    // the AVX2/AVX-512 clones of the update and the refresh and the 32-bit
+    // rows, and has not been re-measured since. Marking everything and
+    // letting the first selection query run one branchless `O(n)` refresh
+    // keeps the flip at full speed and still replaces the strategies' two
+    // branchy scans with aggregate reductions.
 }
 
 #[cfg(test)]

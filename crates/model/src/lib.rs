@@ -32,7 +32,10 @@
 //!   candidates, [`GAP_LANES`] draws per branch-free pass.
 //!
 //! Weights and energies are `i64` throughout: every benchmark in the paper is
-//! integral, and integer energies make optimality assertions exact.
+//! integral, and integer energies make optimality assertions exact. A model's
+//! coefficient mass is bounded ([`COEFFICIENT_SUM_BOUND`]) so that every
+//! energy and gain fits, and the dense kernel stores its weights in 32 bits
+//! ([`DenseStrips`]), widening each one as it is added.
 
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
@@ -64,7 +67,7 @@ pub use kernel::{
     CsrKernel, DenseKernel, KernelChoice, KernelKind, QuboKernel, DENSE_AUTO_MAX_N,
     DENSE_DENSITY_THRESHOLD,
 };
-pub use qubo::QuboModel;
+pub use qubo::{QuboModel, COEFFICIENT_SUM_BOUND};
 pub use segments::{SegmentAggregates, SEG_WIDTH};
 pub use solution::Solution;
 

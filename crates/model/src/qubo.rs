@@ -6,6 +6,16 @@ use crate::{
 };
 use std::sync::OnceLock;
 
+/// The largest coefficient mass a model may carry:
+/// `Σ_i |W_ii| + Σ_{i<j} |W_ij| ≤ i64::MAX / 2` (2^62 − 1).
+///
+/// Every energy and every one-flip gain of such a model is at most its
+/// mass in magnitude, so each sum on the search path fits `i64`, including
+/// the kernels' `energy`/`init`, which accumulate the quadratic part twice.
+/// [`QuboModel::new_with_kernel`] refuses a model beyond it with
+/// [`ModelError::CoefficientRange`].
+pub const COEFFICIENT_SUM_BOUND: i64 = i64::MAX / 2;
+
 /// A Quadratic Unconstrained Binary Optimization model.
 ///
 /// Off-diagonal weights live in a mirrored [`SymmetricCsr`] — the canonical
@@ -20,12 +30,17 @@ pub struct QuboModel {
     adj: SymmetricCsr,
     diag: Vec<i64>,
     kind: KernelKind,
+    /// `Σ|W_ii| + Σ_{i<j}|W_ij|`, at most [`COEFFICIENT_SUM_BOUND`].
+    mass: i64,
+    /// Every off-diagonal weight fits the `i32` dense strips, recorded at
+    /// construction so [`Self::select_kernel`] stays O(1).
+    dense_eligible: bool,
     /// Lazily-materialized strip matrix, populated on first
     /// [`Self::dense_strips`] access while `kind == KernelKind::Dense`.
     /// Laziness matters on construction paths that build with `Auto` and
     /// re-select afterwards (`ProblemSpec.kernel`, CLI `--kernel`): a
     /// `csr` override on an auto-dense instance must not pay a transient
-    /// `n² × 8`-byte allocation it immediately throws away.
+    /// `n² × 4`-byte allocation it immediately throws away.
     dense: OnceLock<DenseStrips>,
 }
 
@@ -49,7 +64,9 @@ impl QuboModel {
         Self::new_with_kernel(n, edges, diag, KernelChoice::Auto)
     }
 
-    /// Build with an explicit kernel choice.
+    /// Build with an explicit kernel choice. Duplicate pairs sum; a sum
+    /// beyond `i64`, or a coefficient mass beyond [`COEFFICIENT_SUM_BOUND`],
+    /// is [`ModelError::CoefficientRange`].
     pub fn new_with_kernel(
         n: usize,
         edges: &[(usize, usize, i64)],
@@ -62,10 +79,25 @@ impl QuboModel {
                 actual: diag.len(),
             });
         }
+        let adj = SymmetricCsr::from_edges(n, edges)?;
+        // One pass over the merged weights: the coefficient mass, and
+        // whether the dense strips can hold every off-diagonal weight.
+        let mut mass: u128 = diag.iter().map(|w| u128::from(w.unsigned_abs())).sum();
+        let mut dense_eligible = true;
+        for (_, _, w) in adj.iter_edges() {
+            mass += u128::from(w.unsigned_abs());
+            dense_eligible &= i32::try_from(w).is_ok();
+        }
+        let mass = i64::try_from(mass)
+            .ok()
+            .filter(|&m| m <= COEFFICIENT_SUM_BOUND)
+            .ok_or(ModelError::CoefficientRange)?;
         let mut model = Self {
-            adj: SymmetricCsr::from_edges(n, edges)?,
+            adj,
             diag,
             kind: KernelKind::Csr,
+            mass,
+            dense_eligible,
             dense: OnceLock::new(),
         };
         model.select_kernel(kernel);
@@ -74,21 +106,25 @@ impl QuboModel {
 
     /// (Re)select the energy kernel. `Auto` applies the density policy:
     /// dense when `density() ≥` [`DENSE_DENSITY_THRESHOLD`] and
-    /// `n ≤` [`DENSE_AUTO_MAX_N`]; explicit choices are always honored.
+    /// `n ≤` [`DENSE_AUTO_MAX_N`]. An explicit choice is honored whenever
+    /// the model is dense-eligible: every off-diagonal weight fits the
+    /// `i32` lanes of [`DenseStrips`]. A model that is not keeps the CSR
+    /// kernel under every choice, which computes the same results.
     ///
-    /// Selection itself is O(1): the `n² × 8`-byte strip matrix is only
+    /// Selection itself is O(1): the `n² × 4`-byte strip matrix is only
     /// materialized when a dense kernel view is actually taken (so forcing
     /// `Dense` far beyond the auto ceiling defers its memory bill to solve
     /// time — still a deliberate act). Selecting `Csr` drops any cached
     /// matrix.
     pub fn select_kernel(&mut self, choice: KernelChoice) {
-        let dense = match choice {
-            KernelChoice::Csr => false,
-            KernelChoice::Dense => true,
-            KernelChoice::Auto => {
-                self.n() <= DENSE_AUTO_MAX_N && self.density() >= DENSE_DENSITY_THRESHOLD
-            }
-        };
+        let dense = self.dense_eligible
+            && match choice {
+                KernelChoice::Csr => false,
+                KernelChoice::Dense => true,
+                KernelChoice::Auto => {
+                    self.n() <= DENSE_AUTO_MAX_N && self.density() >= DENSE_DENSITY_THRESHOLD
+                }
+            };
         if dense {
             self.kind = KernelKind::Dense;
         } else {
@@ -103,12 +139,21 @@ impl QuboModel {
         self.kind
     }
 
+    /// The coefficient mass `Σ|W_ii| + Σ_{i<j}|W_ij|`, which bounds every
+    /// energy and gain in magnitude (at most [`COEFFICIENT_SUM_BOUND`]).
+    pub fn coefficient_mass(&self) -> i64 {
+        self.mass
+    }
+
     /// Dense strip storage, when the dense backend is selected —
     /// materialized on first access (thread-safe; concurrent block workers
     /// race benignly on the `OnceLock`).
     pub fn dense_strips(&self) -> Option<&DenseStrips> {
-        (self.kind == KernelKind::Dense)
-            .then(|| self.dense.get_or_init(|| DenseStrips::from_csr(&self.adj)))
+        (self.kind == KernelKind::Dense).then(|| {
+            self.dense.get_or_init(|| {
+                DenseStrips::from_csr(&self.adj).expect("dense is selected only when eligible")
+            })
+        })
     }
 
     /// Whether the dense strip matrix has actually been allocated (memory
@@ -224,7 +269,16 @@ impl QuboModel {
     /// Returns `(ising, offset)` with `H(S) = 4·E(X) − offset`, where `S` is
     /// the spin vector `s_i = σ(x_i)`. The factor 4 keeps all coefficients
     /// integral (`J_ij = W_ij`, `h_i = 2 W_ii + Σ_j W_ij`).
+    ///
+    /// Panics when the [`Self::coefficient_mass`] exceeds `i64::MAX / 4`:
+    /// below it `4·E(X)` and every partial sum of `H(S)` fit `i64`, beyond
+    /// it they need not.
     pub fn to_ising(&self) -> (IsingModel, i64) {
+        assert!(
+            self.mass <= i64::MAX / 4,
+            "coefficient mass {} is beyond the Ising conversion's bound i64::MAX / 4",
+            self.mass
+        );
         let n = self.n();
         let mut h = vec![0i64; n];
         let mut edges = Vec::with_capacity(self.edge_count());
@@ -266,6 +320,7 @@ impl QuboModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IncrementalState;
     use dabs_rng::{Rng64, Xorshift64Star};
 
     /// The QUBO model of the paper's Fig. 1(2):
@@ -407,11 +462,122 @@ mod tests {
         assert!(sparse >= q.adjacency().heap_bytes() + 3 * 8);
         q.select_kernel(crate::KernelChoice::Dense);
         let dense = q.heap_bytes();
-        assert_eq!(dense - sparse, DenseStrips::bytes_for(3));
+        // One padded 64-column row of 4-byte weights per variable.
+        assert_eq!(dense - sparse, 3 * 64 * 4);
         // Materializing the strips moves no figure: they were already
         // counted at selection.
         let strips = q.dense_strips().expect("dense selected").bytes();
         assert_eq!(q.heap_bytes(), dense);
-        assert_eq!(strips, DenseStrips::bytes_for(3));
+        assert_eq!(strips, 3 * 64 * 4);
+    }
+
+    /// A complete model on `n` variables with ±9 weights, the two given
+    /// weights on pairs (0, 1) and (1, 2), and `diag` on every diagonal.
+    fn complete_with(n: usize, w01: i64, w12: i64, diag: i64, kernel: KernelChoice) -> QuboModel {
+        let mut rng = Xorshift64Star::new(0xD1A6);
+        let mut edges = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let w = match (i, j) {
+                    (0, 1) => w01,
+                    (1, 2) => w12,
+                    _ => rng.next_range_i64(-9, 9),
+                };
+                edges.push((i, j, w));
+            }
+        }
+        let diag = (0..n)
+            .map(|i| if i % 2 == 0 { diag } else { -diag })
+            .collect();
+        QuboModel::new_with_kernel(n, &edges, diag, kernel).unwrap()
+    }
+
+    #[test]
+    fn weights_at_the_i32_edges_stay_dense_and_walk_like_csr() {
+        let (lo, hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        for n in [3, 70] {
+            // The diagonal lives outside the strips, so it may go far
+            // beyond i32.
+            let q = complete_with(n, lo, hi, 1 << 40, KernelChoice::Auto);
+            assert_eq!(q.kernel_kind(), KernelKind::Dense, "n={n}");
+            let strips = q.dense_strips().unwrap();
+            assert_eq!((strips.row(0)[1], strips.row(2)[1]), (i32::MIN, i32::MAX));
+            let mut rng = Xorshift64Star::new(0xED6E + n as u64);
+            let start = Solution::random(n, &mut rng);
+            let mut csr = IncrementalState::from_solution(&q, start.clone());
+            let mut dense = IncrementalState::from_solution_dense(&q, start);
+            for step in 0..300 {
+                // Bits 0–2 carry the extreme weights: flip them often.
+                let i = if step % 2 == 0 {
+                    step / 2 % 3
+                } else {
+                    rng.next_index(n)
+                };
+                assert_eq!(csr.flip(i), dense.flip(i), "n={n} step {step}");
+                assert_eq!(csr.deltas(), dense.deltas(), "n={n} step {step}");
+                csr.assert_consistent();
+                dense.assert_consistent();
+            }
+        }
+    }
+
+    #[test]
+    fn weights_beyond_i32_keep_the_csr_kernel() {
+        let (lo, hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        for (w01, w12) in [(hi + 1, 5), (-3, lo - 1)] {
+            for choice in [KernelChoice::Auto, KernelChoice::Dense] {
+                let mut q = complete_with(40, w01, w12, 7, choice);
+                assert_eq!(q.kernel_kind(), KernelKind::Csr, "{choice:?}");
+                assert!(q.dense_strips().is_none());
+                q.select_kernel(KernelChoice::Dense);
+                assert_eq!(q.kernel_kind(), KernelKind::Csr, "reselected {choice:?}");
+                // No strip bytes are counted for a kernel it cannot run.
+                let forced = q.heap_bytes();
+                q.select_kernel(KernelChoice::Csr);
+                assert_eq!(q.heap_bytes(), forced);
+            }
+        }
+        // The same shape within i32 goes dense, so the refusal is the width.
+        assert_eq!(
+            complete_with(40, hi, lo, 7, KernelChoice::Auto).kernel_kind(),
+            KernelKind::Dense
+        );
+    }
+
+    #[test]
+    fn coefficient_mass_is_bounded() {
+        let b = COEFFICIENT_SUM_BOUND;
+        // Mass exactly at the bound builds; one more is refused, whether the
+        // extra unit sits on the diagonal or on an edge.
+        let q = QuboModel::new(2, &[(0, 1, -(b / 2))], vec![b - b / 2 - 1, 1]).unwrap();
+        assert_eq!(q.coefficient_mass(), b);
+        for (edge, diag) in [
+            (-(b / 2), vec![b - b / 2, 1]),
+            (-(b / 2) - 1, vec![b - b / 2, 0]),
+        ] {
+            let e = QuboModel::new(2, &[(0, 1, edge)], diag).unwrap_err();
+            assert_eq!(e, ModelError::CoefficientRange);
+        }
+        // Every energy and gain of the model at the bound is exact.
+        for bits in ["00", "10", "01", "11"] {
+            let x = Solution::from_bitstring(bits);
+            let mut st = IncrementalState::from_solution(&q, x.clone());
+            st.assert_consistent();
+            st.flip(0);
+            st.flip(1);
+            st.assert_consistent();
+        }
+        assert_eq!(q.energy(&Solution::from_bitstring("11")), b - 2 * (b / 2));
+        // |W| of i64::MIN alone is beyond it, and no sum wraps to hide it.
+        assert!(QuboModel::new(1, &[], vec![i64::MIN]).is_err());
+        let edges = [(0, 1, i64::MAX), (0, 2, i64::MAX), (1, 2, i64::MAX)];
+        assert!(QuboModel::new(3, &edges, vec![0; 3]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "Ising conversion")]
+    fn to_ising_refuses_a_mass_beyond_a_quarter_of_i64() {
+        let q = QuboModel::new(1, &[], vec![i64::MAX / 4 + 1]).unwrap();
+        let _ = q.to_ising();
     }
 }

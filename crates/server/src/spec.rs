@@ -182,7 +182,7 @@ impl ProblemSpec {
     /// bounded; a malformed header passes here and fails properly in
     /// [`ProblemSpec::build`].
     pub fn validate_size(&self) -> Result<(), String> {
-        // `kernel:"dense"` on the wire commits a worker to an n²×8-byte
+        // `kernel:"dense"` on the wire commits a worker to an n²×4-byte
         // weight matrix regardless of instance sparsity, so it gets the
         // same ceiling the auto policy enforces (`DENSE_AUTO_MAX_N`).
         // Today that equals MAX_PROBLEM_N — every admissible instance is
@@ -202,7 +202,7 @@ impl ProblemSpec {
                 if n > dabs_model::DENSE_AUTO_MAX_N {
                     return Err(format!(
                         "kernel \"dense\" at {n} variables exceeds the dense admission cap {} \
-                         (n² × 8 bytes of weights per job)",
+                         (n² × 4 bytes of weights per job)",
                         dabs_model::DENSE_AUTO_MAX_N
                     ));
                 }
@@ -283,7 +283,7 @@ impl ProblemSpec {
 
 /// Byte budget of the server's process-wide model cache, which jobs with
 /// one generator spec share their model through. It holds the paper's
-/// K2000 at n=2000 (about 81 MB with its dense strips) three times over.
+/// K2000 at n=2000 (about 64 MB with its dense strips) four times over.
 pub const MODEL_CACHE_BUDGET: usize = 256 << 20;
 
 /// Everything [`ProblemSpec::build`] reads for a generator kind: two specs

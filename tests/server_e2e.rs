@@ -10,6 +10,7 @@
 //!   locally; a load-tolerant bound on shared CI runners),
 //! * a job whose deadline has already passed is rejected at admission,
 //! * a spec field out of its type's range is rejected, not truncated,
+//! * an inline document whose coefficients overflow fails without a result,
 //! * `subscribe` streams monotonically non-increasing incumbent energies.
 
 use dabs::server::{
@@ -224,6 +225,31 @@ fn an_out_of_range_spec_field_is_rejected_as_bad_spec() {
         } => assert_eq!((queued, running, finished), (0, 0, 0)),
         other => panic!("expected stats, got {other:?}"),
     }
+    server.shutdown();
+}
+
+#[test]
+fn an_inline_document_beyond_the_coefficient_bound_fails_without_a_best() {
+    // M = 2^62 − 1 on both diagonals and the pair: the all-ones energy 3M
+    // fits no i64. Admission reads only the header, so the job is admitted
+    // and its model build refuses it.
+    let m = i64::MAX / 2;
+    let server = start_server(2);
+    let mut client = Client::builder(server.local_addr())
+        .connect()
+        .expect("connect");
+    let spec = JobSpec {
+        problem: ProblemSpec::inline_text(format!("p qubo 0 2 2 1\n0 0 {m}\n1 1 {m}\n0 1 {m}\n")),
+        seed: 1,
+        max_batches: Some(50),
+        ..JobSpec::default()
+    };
+    let id = client.try_submit(&spec).expect("admitted").job;
+    let outcome = client.try_wait_result(id).expect("result");
+    assert_eq!(outcome.phase, "failed");
+    assert!(outcome.result.is_none(), "no best may be served");
+    let error = outcome.error.expect("a failed job says why");
+    assert!(error.contains("coefficients out of range"), "{error}");
     server.shutdown();
 }
 
